@@ -16,6 +16,7 @@ import sys
 from . import complexes, homology, morse, verify, words
 
 MAX_PLAIN_LENGTH = 14  # cell counts grow exponentially; longer needs --force
+MAX_SUBDIVISION_CELLS = 10**5  # predicted cells of sd^k; more needs --force
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -37,6 +38,16 @@ def _parse_word_arg(text: str, force: bool) -> words.Word:
             f"words longer than {MAX_PLAIN_LENGTH} letters need --force"
         )
     return word
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _emit_json(payload) -> None:
@@ -77,7 +88,7 @@ def _analyze_payload(word: words.Word) -> dict:
             if cls.is_spherical
             else None
         ),
-        "euler": words.euler_direct(word),
+        "euler": X.reduced_euler(),
         "homotopy": str(words.predict_homotopy(word)),
         "f_vector": list(X.f_vector()),
         "decomposition": None,
@@ -150,7 +161,7 @@ def cmd_morse(args) -> int:
     X = complexes.build(word)
     report = morse.matching_report(X, matching)
     skeleton = morse.skeleton_for_matching(X, matching)
-    order = morse.validate_collapsing_order(skeleton, matching.ordered_pairs())
+    order = morse.validate_collapsing_order(skeleton, matching.pairs)
     payload = matching.to_json()
     payload["matching_checks"] = report
     payload["collapsing_order_valid"] = order.valid
@@ -215,6 +226,15 @@ def cmd_collapse(args) -> int:
 def cmd_subdivide(args) -> int:
     word = _parse_word_arg(args.word, args.force)
     X = complexes.build(word)
+    if not args.force:
+        f = X.f_vector()
+        for k in range(1, args.times + 1):
+            f = complexes.subdivision_f_vector(f)
+            if sum(f) > MAX_SUBDIVISION_CELLS:
+                raise UsageError(
+                    f"sd^{k} would have {sum(f)} cells, more than "
+                    f"{MAX_SUBDIVISION_CELLS}; it needs --force"
+                )
     stages = [X.f_vector()]
     for _ in range(args.times):
         X = complexes.barycentric_subdivide(X)
@@ -308,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     word_command("morse", cmd_morse, "the collapsing matching and its validation")
     word_command("collapse", cmd_collapse, "alternating collapse or word reduction")
     p = word_command("subdivide", cmd_subdivide, "barycentric subdivision")
-    p.add_argument("--times", type=int, default=1, metavar="N")
+    p.add_argument("--times", type=_int_at_least(0), default=1, metavar="N")
     p = word_command("export", cmd_export, "export the complex")
     p.add_argument("--format", choices=("json", "dot", "csv"), default="json")
 
     p = sub.add_parser("sweep", help="exhaustive verification sweep")
-    p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--alphabet", type=int, default=4)
+    p.add_argument("--max-len", type=_int_at_least(1), default=8)
+    p.add_argument("--alphabet", type=_int_at_least(1), default=4)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dedup-reversal", action="store_true")
     p.set_defaults(func=cmd_sweep)

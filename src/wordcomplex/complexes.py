@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .words import Word, distinct_subwords, format_word
@@ -420,16 +421,6 @@ def elementary_collapse(X: DeltaComplex, sigma: int, tau: int) -> DeltaComplex:
     return X.without({sigma, tau})
 
 
-def collapse_all(X: DeltaComplex) -> DeltaComplex:
-    """Greedily collapse free pairs (highest dimension first) to a fixpoint."""
-    while True:
-        pairs = free_pairs(X)
-        if not pairs:
-            return X
-        p = pairs[-1]
-        X = elementary_collapse(X, p.sigma, p.tau)
-
-
 # ---------------------------------------------------------------------------
 # Barycentric subdivision
 
@@ -453,6 +444,24 @@ def _flags(dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 chains.extend(chain + (s,) for chain in chains_to[t])
         chains_to[s] = chains
     return tuple(chains_to[full])
+
+
+def _ordered_partitions(m: int, j: int) -> int:
+    """j! S(m, j): the ordered partitions of m positions into j blocks."""
+    return sum((-1) ** i * comb(j, i) * (j - i) ** m for i in range(j + 1))
+
+
+def subdivision_f_vector(f: tuple[int, ...]) -> tuple[int, ...]:
+    """The f-vector of barycentric_subdivide(X), predicted from that of X.
+
+    A flag of k + 1 subsets of a d-cell is an ordered partition of its d + 1
+    positions into k + 1 blocks, so each d-cell yields (k+1)! S(d+1, k+1)
+    cells of dimension k.
+    """
+    return tuple(
+        sum(n * _ordered_partitions(d + 1, k + 1) for d, n in enumerate(f))
+        for k in range(len(f))
+    )
 
 
 def barycentric_subdivide(X: DeltaComplex) -> DeltaComplex:

@@ -13,7 +13,6 @@ zero rather than by special-casing connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .complexes import DeltaComplex, deletion_sign
 
@@ -292,40 +291,6 @@ def reduced_homology(X: DeltaComplex, certify: bool = False) -> HomologyProfile:
             rank_up, torsion = 0, ()
         groups.append((f_n - rank_n - rank_up, torsion))
     return HomologyProfile(tuple(groups))
-
-
-def minors_gcd(M: Matrix, k: int) -> int:
-    """Gcd of all k x k minors; d_1 ... d_k must equal it. Test oracle only."""
-    from itertools import combinations
-
-    m, n = len(M), len(M[0]) if M else 0
-    g = 0
-    for rows in combinations(range(m), k):
-        for cols in combinations(range(n), k):
-            g = gcd(g, _det([[M[i][j] for j in cols] for i in rows]))
-    return g
-
-
-def _det(M: Matrix) -> int:
-    """Fraction-free Gaussian elimination (Bareiss)."""
-    A = [row[:] for row in M]
-    n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not A[k][k]:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
 
 
 def matrix_to_csv(M: Matrix) -> str:

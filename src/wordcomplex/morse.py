@@ -13,7 +13,9 @@ Word reduction deletes one letter from the run after the first odd
 exponent; the deleted simplices are exactly those whose shifted tuple uses
 that run in full, matched among themselves by the same flip capped at the
 odd run. Iterating, with a reversal when only the last run is odd, drives
-every word to its fundamental subword or to a single letter.
+every word to its fundamental subword or to a single letter. Deletion only
+loses subwords and reversal only relabels, so the reduction builds the
+word's complex once and drops or relabels cells at each step.
 """
 
 from __future__ import annotations
@@ -56,18 +58,13 @@ class Matching:
 
     word: Word
     t: int  # run index the pairing flips at (1-based cap)
+    # In removal order: the dimension of sigma never increases. Constructors
+    # sort by descending dimension and then by the presentation tuple of
+    # sigma; the tie-break matters, since a cell covering sigma can be the
+    # partner of another same-dimension pair.
     pairs: tuple[tuple[Word, Word], ...]
     critical: tuple[Word, ...]
     rules: tuple[str, ...] = field(default=())  # per-pair tags when rule-driven
-
-    def ordered_pairs(self) -> tuple[tuple[Word, Word], ...]:
-        """Pairs in removal order: the dimension of sigma never increases.
-
-        Constructors store pairs sorted by descending dimension and then by
-        the presentation tuple of sigma; the tie-break matters, since a cell
-        covering sigma can be the partner of another same-dimension pair.
-        """
-        return self.pairs
 
     def rule_of(self, pair: tuple[Word, Word]) -> str:
         if not self.rules:
@@ -84,7 +81,7 @@ class Matching:
                     "dim": len(s) - 1,
                     "rule": self.rule_of((s, t)),
                 }
-                for s, t in self.ordered_pairs()
+                for s, t in self.pairs
             ],
             "critical": [_word_name(c) for c in self.critical],
         }
@@ -405,38 +402,34 @@ class ReductionTrace:
         }
 
 
-def _validate_removal(word: Word, new_word: Word, matching: Matching) -> None:
-    """Check a reduction step's matching as a collapsing order and its cell
-    accounting against the two complexes."""
-    X = build(word)
-    removed = {s for s, _ in matching.pairs} | {t for _, t in matching.pairs}
-    removed.discard(EMPTY)
-    survivors = set(X.id_of_label) - removed
-    expected = distinct_subwords(new_word) if new_word else set()
-    if survivors != set(expected):
-        raise RuntimeError(f"removed cells of {word} do not leave {new_word}")
-    report = validate_collapsing_order(
-        X, tuple(p for p in matching.ordered_pairs() if p[0] != EMPTY)
+def _reversed(X: DeltaComplex) -> DeltaComplex:
+    """The reversed word's complex from the word's own, same cell ids: deletion
+    position i of a d-cell becomes d - i, so labels and face tuples reverse."""
+    return DeltaComplex(
+        X.cells_by_dim,
+        {c: fs[::-1] for c, fs in X.faces.items()},
+        {c: u[::-1] for c, u in X.labels.items()},
     )
-    if not report.valid:
-        bad = [c for c in report.checks if not c.ok]
-        raise RuntimeError(f"collapsing order invalid for {word}: {bad[:3]}")
 
 
-def reduce_to_core(word: Word, validate: bool = True) -> ReductionTrace:
+def reduce_to_core(word: Word) -> ReductionTrace:
     """Iterate letter deletions, reversing the word when only the last run
     is odd; a single odd run contracts through its perfect matching.
 
     The terminal word is the fundamental subword of a spherical input
-    (every terminal exponent even) or a single letter otherwise.
+    (every terminal exponent even) or a single letter otherwise. Each step
+    is checked on the current complex: its matching as a collapsing order,
+    and the cells left without the matched ones as the subwords of the next
+    word.
     """
     if not word:
         raise ValueError("cannot reduce the empty word")
     steps: list[ReductionStep] = []
     current = word
+    X = build(word)
     while True:
         try:
-            new_word, matching = reduce_step(current)
+            after, matching = reduce_step(current)
         except ValueError:
             alpha = reduced_form(current).exponents
             if all(e % 2 == 0 for e in alpha):
@@ -444,7 +437,7 @@ def reduce_to_core(word: Word, validate: bool = True) -> ReductionTrace:
             if len(alpha) > 1:
                 flipped = current[::-1]
                 steps.append(ReductionStep("flip", current, flipped, None, None))
-                current = flipped
+                current, X = flipped, _reversed(X)
                 continue
             if alpha[0] == 1:
                 break  # single letter
@@ -452,24 +445,19 @@ def reduce_to_core(word: Word, validate: bool = True) -> ReductionTrace:
             # perfect, so everything above the base vertex collapses away
             matching = full_matching(current)
             after = current[:1]
-            if validate:
-                X = build(current)
-                report = validate_collapsing_order(
-                    X,
-                    tuple(p for p in matching.ordered_pairs() if p[0] != EMPTY),
-                )
-                if not report.valid:
-                    raise RuntimeError(f"contraction of {current} is invalid")
-            steps.append(ReductionStep("contract", current, after, None, matching))
-            current = after
-            break
+            step = ReductionStep("contract", current, after, None, matching)
         else:
-            if validate:
-                _validate_removal(current, new_word, matching)
-            steps.append(
-                ReductionStep("delete", current, new_word, matching.t, matching)
-            )
-            current = new_word
+            step = ReductionStep("delete", current, after, matching.t, matching)
+        pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
+        report = validate_collapsing_order(X, pairs)
+        if not report.valid:
+            bad = [c for c in report.checks if not c.ok]
+            raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
+        X = X.without(X.id_of_label[u] for pair in pairs for u in pair)
+        if set(X.id_of_label) != distinct_subwords(after):
+            raise RuntimeError(f"removed cells of {current} do not leave {after}")
+        steps.append(step)
+        current = after
     return ReductionTrace(word, tuple(steps), current)
 
 
@@ -616,7 +604,7 @@ def alternating_collapse(n: int) -> CollapseRun:
     rule_of = {p: r for p, r in zip(matching.pairs, matching.rules)}
     pending = [
         (s, t)
-        for s, t in matching.ordered_pairs()
+        for s, t in matching.pairs
         if s != EMPTY and s not in keep and t not in keep
     ]
 
@@ -652,6 +640,3 @@ def alternating_collapse(n: int) -> CollapseRun:
         raise RuntimeError(f"collapse of alt({n}) left {sorted(terminal)}")
     return CollapseRun(w, tuple(steps), core, terminal)
 
-
-def elementary_collapse_by_label(X: DeltaComplex, s: Word, t: Word) -> DeltaComplex:
-    return elementary_collapse(X, X.id_of_label[s], X.id_of_label[t])

@@ -114,7 +114,7 @@ def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
-def examine_word(word: Word, validate_reduction: bool = True) -> WordReport:
+def examine_word(word: Word) -> WordReport:
     """Run every check on one word; check outcomes never raise."""
     checks: dict[str, str] = {}
     notes: list[str] = []
@@ -165,9 +165,7 @@ def examine_word(word: Word, validate_reduction: bool = True) -> WordReport:
             matching = morse.full_matching(word)
             rep = morse.matching_report(X, matching)
             skeleton = morse.skeleton_for_matching(X, matching)
-            order = morse.validate_collapsing_order(
-                skeleton, matching.ordered_pairs()
-            )
+            order = morse.validate_collapsing_order(skeleton, matching.pairs)
             want_critical = 0 if exponents[-1] % 2 else 1
             ok = (
                 all(rep.values())
@@ -184,7 +182,7 @@ def examine_word(word: Word, validate_reduction: bool = True) -> WordReport:
         checks["matching_law"] = SKIP
 
     try:
-        trace = morse.reduce_to_core(word, validate=validate_reduction)
+        trace = morse.reduce_to_core(word)
         if cls.is_spherical:
             ok = trace.terminal == words.fundamental_subword(word)
         else:

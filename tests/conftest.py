@@ -8,7 +8,9 @@ test are checked against something independent.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import gcd
 
+from wordcomplex.complexes import elementary_collapse, free_pairs
 from wordcomplex.words import Word
 
 
@@ -90,3 +92,45 @@ def same_classes(found: list[Word], listed: list[Word]) -> bool:
     return len(found) == len(listed) and all(
         any(renaming_or_reversal_of(u, v) for v in listed) for u in found
     )
+
+
+def collapse_all(X):
+    """Greedily collapse free pairs (highest dimension first) to a fixpoint."""
+    while True:
+        pairs = free_pairs(X)
+        if not pairs:
+            return X
+        p = pairs[-1]
+        X = elementary_collapse(X, p.sigma, p.tau)
+
+
+def minors_gcd(M: list[list[int]], k: int) -> int:
+    """Gcd of all k x k minors; d_1 ... d_k must equal it."""
+    m, n = len(M), len(M[0]) if M else 0
+    g = 0
+    for rows in combinations(range(m), k):
+        for cols in combinations(range(n), k):
+            g = gcd(g, _det([[M[i][j] for j in cols] for i in rows]))
+    return g
+
+
+def _det(M: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss)."""
+    A = [row[:] for row in M]
+    n = len(A)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1]

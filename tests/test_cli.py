@@ -48,6 +48,32 @@ def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_sweep_max_len_zero_exit_2(capsys):
+    code, _, err = run(capsys, "sweep", "--max-len", "0")
+    assert code == 2 and "--max-len" in err
+
+
+def test_sweep_alphabet_zero_exit_2(capsys):
+    code, _, err = run(capsys, "sweep", "--alphabet", "0")
+    assert code == 2 and "--alphabet" in err
+
+
+def test_subdivide_negative_times_exit_2(capsys):
+    code, _, err = run(capsys, "subdivide", "a", "--times", "-3")
+    assert code == 2 and "--times" in err
+
+
+def test_subdivide_refuses_large_prediction(capsys, monkeypatch):
+    def never(X):
+        raise AssertionError("subdivided before the size guard")
+
+    monkeypatch.setattr("wordcomplex.complexes.barycentric_subdivide", never)
+    code, _, err = run(capsys, "subdivide", "abcabcabcabc")
+    assert code == 2 and "56065499788 cells" in err and "--force" in err
+    code, _, err = run(capsys, "subdivide", "abab", "--times", "4")
+    assert code == 2 and "sd^4 would have 1455521 cells" in err
+
+
 # -- analysis --------------------------------------------------------------------
 
 

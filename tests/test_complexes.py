@@ -4,7 +4,6 @@ from wordcomplex import complexes as C
 from wordcomplex.complexes import (
     barycentric_subdivide,
     build,
-    collapse_all,
     elementary_collapse,
     empty_complex,
     free_pairs,
@@ -25,7 +24,7 @@ from wordcomplex.words import (
     reduced_form,
 )
 
-from conftest import incidence_by_signs
+from conftest import collapse_all, incidence_by_signs
 
 
 def w(text):
@@ -245,6 +244,23 @@ def test_subdivide_preserves_euler_and_homology():
         S.validate()
         assert S.reduced_euler() == X.reduced_euler()
         assert reduced_homology(S).groups == reduced_homology(X).groups
+
+
+def test_subdivision_f_vector_counts_flags():
+    for d in range(6):
+        by_length = [0] * (d + 1)
+        for flag in C._flags(d):
+            by_length[len(flag) - 1] += 1
+        assert C.subdivision_f_vector((0,) * d + (1,)) == tuple(by_length)
+    # one 11-cell alone: Fubini(12) ordered set partitions of its positions
+    assert sum(C.subdivision_f_vector((0,) * 11 + (1,))) == 28_091_567_595
+    for text in ("aa", "aba", "abab", "abca"):
+        X = build(w(text))
+        S = barycentric_subdivide(X)
+        assert C.subdivision_f_vector(X.f_vector()) == S.f_vector(), text
+        assert C.subdivision_f_vector(S.f_vector()) == (
+            barycentric_subdivide(S).f_vector()
+        ), text
 
 
 def test_double_subdivision_of_dunce_hat():

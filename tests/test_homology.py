@@ -8,11 +8,12 @@ from wordcomplex.homology import (
     chain_data,
     matmul,
     matrix_to_csv,
-    minors_gcd,
     reduced_homology,
     smith_normal_form,
 )
 from wordcomplex.words import enumerate_canonical_words, parse_word
+
+from conftest import minors_gcd
 
 
 def w(text):

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from wordcomplex import morse
 from wordcomplex.complexes import build
 from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
@@ -131,7 +135,7 @@ def test_full_matching_report_and_order():
         report = matching_report(X, m)
         assert all(report.values()), (word, report)
         skeleton = skeleton_for_matching(X, m)
-        assert validate_collapsing_order(skeleton, m.ordered_pairs()).valid, word
+        assert validate_collapsing_order(skeleton, m.pairs).valid, word
 
 
 def test_critical_count_matches_total_reduced_betti():
@@ -174,7 +178,7 @@ def test_validate_rejects_foreign_cells():
 def test_dimension_increasing_order_is_invalid():
     m = full_matching(w("aaa"))
     X = build(w("aaa"))
-    backwards = tuple(reversed(m.ordered_pairs()))
+    backwards = tuple(reversed(m.pairs))
     report = validate_collapsing_order(X, backwards)
     assert not report.valid
     assert not report.checks[0].upward_closed
@@ -184,7 +188,7 @@ def test_order_conditions_reported_per_pair():
     m = full_matching(w("aaaa"))
     X = build(w("aaaa"))
     skeleton = skeleton_for_matching(X, m)
-    report = validate_collapsing_order(skeleton, m.ordered_pairs())
+    report = validate_collapsing_order(skeleton, m.pairs)
     assert report.valid
     assert all(c.dims_ok and c.incidence_ok and c.upward_closed for c in report.checks)
     assert report.checks[-1].sigma == EMPTY  # the augmentation pair goes last
@@ -255,6 +259,45 @@ def test_reduce_to_core_terminal_law():
                 assert len(step.after) == len(step.before) - 1
             elif step.kind == "flip":
                 assert step.after == step.before[::-1]
+
+
+def test_reduce_to_core_builds_once(monkeypatch):
+    calls = []
+
+    def counting_build(word):
+        calls.append(word)
+        return build(word)
+
+    monkeypatch.setattr(morse, "build", counting_build)
+    for word in enumerate_canonical_words(6, 4):
+        calls.clear()
+        reduce_to_core(word)
+        assert calls == [word], word
+
+
+def test_flip_relabelling_is_the_reversed_complex():
+    def face_labels(X):
+        return {
+            X.labels[c]: tuple(X.labels[f] for f in faces)
+            for c, faces in X.faces.items()
+        }
+
+    for word in enumerate_canonical_words(7, 4):
+        flipped = morse._reversed(build(word))
+        flipped.validate()
+        assert face_labels(flipped) == face_labels(build(word[::-1])), word
+
+
+def test_reduce_to_core_traces_pinned():
+    # sha256 of the sorted-key JSON traces, one per line, as the reduction
+    # that rebuilt the complex at every step produced them
+    digest = hashlib.sha256()
+    for word in enumerate_canonical_words(7, 4):
+        trace = json.dumps(reduce_to_core(word).to_json(), sort_keys=True)
+        digest.update(trace.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "b38ab0ecfc075880bacb7eef4fde156113f099819bae5b6e53b552f8e6b1a955"
+    )
 
 
 # -- alternating words ----------------------------------------------------------------
