@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import DeltaComplex, build, elementary_collapse, incidence
+from .complexes import DeltaComplex, build, incidence
 from .words import (
     ExpPresentation,
     ReducedForm,
@@ -237,22 +237,6 @@ class CollapsingOrderReport:
     checks: tuple[PairCheck, ...]
     valid: bool
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "pairs": [
-                {
-                    "sigma": _word_name(c.sigma),
-                    "tau": _word_name(c.tau),
-                    "dims_ok": c.dims_ok,
-                    "incidence": c.incidence,
-                    "incidence_ok": c.incidence_ok,
-                    "upward_closed": c.upward_closed,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def validate_collapsing_order(
     X: DeltaComplex, pairs: tuple[tuple[Word, Word], ...]
@@ -262,6 +246,11 @@ def validate_collapsing_order(
 
     The empty tuple is accepted as a sigma and treated as the augmentation
     cell: it sits below every cell with incidence one against each vertex.
+
+    Only direct cofaces are inspected: those of sigma, and of tau when tau
+    covers sigma. While every earlier pair has passed, the removed cells
+    are closed upwards, so this decides the same as a search of sigma's
+    whole up-set, up to and including the first failing pair.
     """
     for s, t in pairs:
         if (s != EMPTY and s not in X.id_of_label) or t not in X.id_of_label:
@@ -281,22 +270,13 @@ def validate_collapsing_order(
             inc = incidence(X, sid, tid) if dims_ok else 0
         incidence_ok = abs(inc) == 1
 
-        allowed = removed_ids | {tid} | ({X.id_of_label[s]} if s != EMPTY else set())
         if s == EMPTY:
-            up_ok = all(c in allowed for c in X.dim_of)
+            up_ok = all(c in removed_ids or c == tid for c in X.dim_of)
         else:
-            up_ok = True
-            stack = [X.id_of_label[s]]
-            seen = set(stack)
-            while stack:
-                c = stack.pop()
-                if c not in allowed:
-                    up_ok = False
-                    break
-                for cof, _ in slots[c]:
-                    if cof not in seen:
-                        seen.add(cof)
-                        stack.append(cof)
+            covers = {c for c, _ in slots[X.id_of_label[s]]}
+            up_ok = all(c in removed_ids or c == tid for c in covers) and (
+                tid not in covers or all(c in removed_ids for c, _ in slots[tid])
+            )
 
         checks.append(PairCheck(s, t, dims_ok, inc, incidence_ok, up_ok))
         valid = valid and checks[-1].ok
@@ -611,21 +591,26 @@ def alternating_collapse(n: int) -> CollapseRun:
     # A pair can only be collapsed once its cells are free, which may force
     # another pair of the same dimension to go first; scheduling greedily
     # (highest dimension first, rescanning after progress) finds the order.
+    # The collapses run on the one complex: a coface slot is live while its
+    # cell is not yet removed, and the conditions of an elementary collapse
+    # read the live slots only.
     X = build(w)
-    ids = dict(X.id_of_label)
+    ids = X.id_of_label
+    slots = X.coface_slots()
+    removed: set[int] = set()
+
+    def live(c: int) -> list[tuple[int, int]]:
+        return [slot for slot in slots[c] if slot[0] not in removed]
+
     steps = []
     while pending:
         progressed = False
         waiting = []
         for s, t in pending:
-            slots = X.coface_slots()
             sid, tid = ids[s], ids[t]
-            if (
-                len(slots[sid]) == 1
-                and slots[sid][0][0] == tid
-                and not slots[tid]
-            ):
-                X = elementary_collapse(X, sid, tid)
+            up = live(sid)
+            if len(up) == 1 and up[0][0] == tid and not live(tid):
+                removed |= {sid, tid}
                 steps.append(CollapseStep(s, t, rule_of[(s, t)]))
                 progressed = True
             else:
@@ -635,7 +620,7 @@ def alternating_collapse(n: int) -> CollapseRun:
             raise RuntimeError(
                 f"collapse of alt({n}) is stuck with {len(pending)} pairs pending"
             )
-    terminal = frozenset(X.id_of_label)
+    terminal = frozenset(X.without(removed).id_of_label)
     if terminal != frozenset(keep):
         raise RuntimeError(f"collapse of alt({n}) left {sorted(terminal)}")
     return CollapseRun(w, tuple(steps), core, terminal)

@@ -114,6 +114,11 @@ def minors_gcd(M: list[list[int]], k: int) -> int:
     return g
 
 
+def assert_unimodular(A: list[list[int]]) -> None:
+    """A square integer matrix with determinant +-1, so invertible over Z."""
+    assert abs(_det(A)) == 1, A
+
+
 def _det(M: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination (Bareiss)."""
     A = [row[:] for row in M]
@@ -134,3 +139,36 @@ def _det(M: list[list[int]]) -> int:
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
         prev = A[k][k]
     return sign * A[-1][-1]
+
+
+def upward_closed_by_search(X, pairs) -> list[bool]:
+    """Per pair of a collapsing order, whether a depth-first search of
+    sigma's whole up-set meets only cells removed earlier, sigma or tau; the
+    empty sigma stands below every cell."""
+    slots = X.coface_slots()
+    removed: set[int] = set()
+    flags = []
+    for s, t in pairs:
+        tid = X.id_of_label[t]
+        allowed = removed | {tid}
+        if not s:
+            flags.append(all(c in allowed for c in X.dim_of))
+        else:
+            sid = X.id_of_label[s]
+            allowed.add(sid)
+            up_ok = True
+            stack = [sid]
+            seen = set(stack)
+            while stack:
+                c = stack.pop()
+                if c not in allowed:
+                    up_ok = False
+                    break
+                for cof, _ in slots[c]:
+                    if cof not in seen:
+                        seen.add(cof)
+                        stack.append(cof)
+            flags.append(up_ok)
+            removed.add(sid)
+        removed.add(tid)
+    return flags

@@ -20,6 +20,7 @@ from wordcomplex import complexes, homology, morse, verify, words
 from wordcomplex.words import parse_word
 
 from conftest import (
+    assert_unimodular,
     indecomposable_classes_by_brute_force,
     renaming_or_reversal_of,
     same_classes,
@@ -254,9 +255,9 @@ def test_criterion_10_pseudomanifold_law():
 
 def test_criterion_11_chain_complex_sanity(sweep84):
     """Boundary maps compose to zero and reduction certificates hold for
-    every matrix the sweep builds (checked there via M V = U_inv D with
-    unimodular bookkeeping), and the full dense certificates U M V = D,
-    U U_inv = I hold for every chain matrix of every word of length <= 6."""
+    every matrix the sweep builds (checked there via M V = U_inv D), and for
+    every chain matrix of every word of length <= 6 the certificate holds
+    and both transforms U_inv and V have determinant +-1."""
     report, _ = sweep84
     bad = rows_failing(report, "boundary_squares_to_zero") + rows_failing(
         report, "snf_certificates"
@@ -265,12 +266,15 @@ def test_criterion_11_chain_complex_sanity(sweep84):
     for word in words.enumerate_canonical_words(6, 6):
         X = complexes.build(word)
         for M, snf in homology.chain_data(X):
-            snf.check(M, full=True)
+            snf.check(M)
+            assert_unimodular(snf.U_inv)
+            assert_unimodular(snf.V)
             checked += 1
     ok = not bad
     report_line(
         11,
         ok,
-        f"chain sanity: certified sweep matrices plus {checked} full checks",
+        f"chain sanity: certified sweep matrices plus {checked} "
+        "with unimodular U_inv and V",
     )
     assert ok, bad[:10]

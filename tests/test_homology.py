@@ -13,7 +13,7 @@ from wordcomplex.homology import (
 )
 from wordcomplex.words import enumerate_canonical_words, parse_word
 
-from conftest import minors_gcd
+from conftest import assert_unimodular, minors_gcd
 
 
 def w(text):
@@ -49,7 +49,9 @@ def test_consecutive_boundaries_compose_to_zero():
 def test_snf_trivial_cases():
     zero = smith_normal_form([[0, 0], [0, 0], [0, 0]])
     assert zero.rank == 0 and zero.diagonal == ()
-    zero.check([[0, 0], [0, 0], [0, 0]], full=True)
+    zero.check([[0, 0], [0, 0], [0, 0]])
+    assert_unimodular(zero.U_inv)
+    assert_unimodular(zero.V)
 
     eye = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert eye.diagonal == (1, 1, 1)
@@ -59,12 +61,19 @@ def test_snf_trivial_cases():
 
 
 def test_snf_known_matrix():
-    M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    snf = smith_normal_form(M)
-    snf.check(M, full=True)
-    # determinant divisors 2, 4, 624 give invariant factors 2, 2, 156
-    assert [minors_gcd(M, k) for k in (1, 2, 3)] == [2, 4, 624]
-    assert snf.diagonal == (2, 2, 156)
+    cases = [
+        # determinant divisors 2, 4, 624 give invariant factors 2, 2, 156
+        ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 4, 624], (2, 2, 156)),
+        # the pivot 2 does not divide 3, so the divisor chain needs a fix-up
+        ([[2, 0], [0, 3]], [1, 6], (1, 6)),
+    ]
+    for M, divisors, diagonal in cases:
+        snf = smith_normal_form(M)
+        snf.check(M)
+        assert_unimodular(snf.U_inv)
+        assert_unimodular(snf.V)
+        assert [minors_gcd(M, k) for k in range(1, len(M) + 1)] == divisors
+        assert snf.diagonal == diagonal
 
 
 def test_snf_against_minor_gcd_oracle():
@@ -74,7 +83,9 @@ def test_snf_against_minor_gcd_oracle():
         n = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         snf = smith_normal_form(M)
-        snf.check(M, full=True)
+        snf.check(M)
+        assert_unimodular(snf.U_inv)
+        assert_unimodular(snf.V)
         product = 1
         for k in range(1, snf.rank + 1):
             product *= snf.diagonal[k - 1]
@@ -93,7 +104,9 @@ def test_snf_against_sympy():
         n = rng.randint(1, 6)
         M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         snf = smith_normal_form(M)
-        snf.check(M, full=True)
+        snf.check(M)
+        assert_unimodular(snf.U_inv)
+        assert_unimodular(snf.V)
         expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(M)) if d != 0)
         assert snf.diagonal == expected, M
 
@@ -102,7 +115,9 @@ def test_snf_certificates_on_real_boundary_matrices():
     for word in all_words(5):
         X = build(word)
         for M, snf in chain_data(X):
-            snf.check(M, full=True)
+            snf.check(M)
+            assert_unimodular(snf.U_inv)
+            assert_unimodular(snf.V)
 
 
 # -- homology -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from wordcomplex import morse
-from wordcomplex.complexes import build
+from wordcomplex.complexes import DeltaComplex, build, elementary_collapse
 from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
     EMPTY,
@@ -32,16 +33,16 @@ from wordcomplex.words import (
     reduced_form,
 )
 
-from conftest import incidence_by_signs
+from conftest import incidence_by_signs, upward_closed_by_search
 
 
 def w(text):
     return parse_word(text)
 
 
-def eligible_words(max_len):
+def eligible_words(max_len, alphabet=None):
     """Words whose run exponents are all even except possibly the last."""
-    for word in enumerate_canonical_words(max_len, max_len):
+    for word in enumerate_canonical_words(max_len, alphabet or max_len):
         exponents = reduced_form(word).exponents
         if all(e % 2 == 0 for e in exponents[:-1]):
             yield word
@@ -194,6 +195,32 @@ def test_order_conditions_reported_per_pair():
     assert report.checks[-1].sigma == EMPTY  # the augmentation pair goes last
 
 
+def test_validate_matches_up_set_search():
+    # direct cofaces decide as the search of the whole up-set does, up to and
+    # including the first failing pair, on valid and invalid orders alike
+    rng = random.Random(5)
+    invalid = 0
+    for word in eligible_words(7, 4):
+        m = full_matching(word)
+        skeleton = skeleton_for_matching(build(word), m)
+        orders = [m.pairs, m.pairs[::-1]]
+        for _ in range(3):
+            orders.append(tuple(rng.sample(m.pairs, len(m.pairs))))
+        for order in orders:
+            report = validate_collapsing_order(skeleton, order)
+            searched = upward_closed_by_search(skeleton, order)
+            for check, up_ok in zip(report.checks, searched):
+                assert check.upward_closed == up_ok, (word, order)
+                if not check.ok:
+                    break
+            assert report.valid == all(
+                c.dims_ok and c.incidence_ok and up_ok
+                for c, up_ok in zip(report.checks, searched)
+            ), (word, order)
+            invalid += not report.valid
+    assert invalid  # the shuffled orders exercise failing pairs too
+
+
 # -- word reduction -----------------------------------------------------------------
 
 
@@ -344,6 +371,41 @@ def test_alternating_collapse_runs():
             assert run.terminal_cells == frozenset({(0,)})
         removed = len(distinct_subwords(alt_word(n))) - len(run.terminal_cells)
         assert removed == 2 * len(run.steps)
+
+
+def test_alternating_collapse_drops_cells_once(monkeypatch):
+    calls = []
+    without = DeltaComplex.without
+
+    def counting_without(self, removed):
+        calls.append(removed)
+        return without(self, removed)
+
+    monkeypatch.setattr(DeltaComplex, "without", counting_without)
+    alternating_collapse(9)
+    assert len(calls) == 1
+
+
+def test_alternating_collapse_replays_as_elementary_collapses():
+    for n in range(1, 13):
+        run = alternating_collapse(n)
+        X = build(alt_word(n))
+        for step in run.steps:
+            ids = X.id_of_label
+            X = elementary_collapse(X, ids[step.sigma], ids[step.tau])
+        assert frozenset(X.id_of_label) == run.terminal_cells, n
+
+
+def test_alternating_collapse_runs_pinned():
+    # sha256 of the sorted-key JSON runs for n = 1..16, one per line, as the
+    # collapse that rebuilt the complex after every pair produced them
+    digest = hashlib.sha256()
+    for n in range(1, 17):
+        data = json.dumps(alternating_collapse(n).to_json(), sort_keys=True)
+        digest.update(data.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "60b71b889aac5a3453b312632ef5aa281f3fb895bf51e9f8aa2c959d9ab86367"
+    )
 
 
 def test_alternating_collapse_step_rules_tagged():
