@@ -1,7 +1,10 @@
 """Collapsing matchings on word complexes.
 
-Simplices are named by their exponent tuples over the reduced form: the
-lex-maximal (left-shifted) tuple names each distinct subword once, and the
+Simplices are named by exponent tuples over the reduced form, generated
+directly on the lattice of tuples below the run exponents: a run may use
+fewer than all its letters only when the nearest used run towards the
+anchor has another letter. Read from the last run leftward, this gives the
+lex-maximal (left-shifted) tuple of each distinct subword once, and the
 zero tuple names the formal empty cell of the augmented complex. For a
 word whose run exponents are even before the last run, the pairing flips
 the exponent at the tuple's height (the first run not used in full), and
@@ -9,13 +12,15 @@ matches everything except the top simplex when the last exponent is even.
 The empty cell pairs with the first vertex, so a perfect matching means
 trivial reduced homology.
 
-Word reduction deletes one letter from the run after the first odd
-exponent; the deleted simplices are exactly those whose shifted tuple uses
-that run in full, matched among themselves by the same flip capped at the
-odd run. Iterating, with a reversal when only the last run is odd, drives
-every word to its fundamental subword or to a single letter. Deletion only
-loses subwords and reversal only relabels, so the reduction builds the
-word's complex once and drops or relabels cells at each step.
+Word reduction deletes one letter from the run p after the first odd
+exponent; the deleted simplices are exactly those whose p-shifted tuple
+uses run p in full, read outward from p in both directions, and the same
+flip capped at the odd run matches them among themselves. Iterating, with
+a reversal when only the last run is odd, drives every word to its
+fundamental subword or to a single letter. Deletion only loses subwords
+and reversal only relabels, so the reduction builds the word's complex
+once and drops or relabels cells at each step; that the cells left are the
+subwords of the shorter word is checked there, independently of the tuples.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ from .words import (
     format_word,
     fundamental_subword,
     height,
-    is_subword,
     left_shifted,
-    p_shifted,
     reduced_form,
     xi,
 )
@@ -115,46 +118,68 @@ def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
     return out
 
 
-def full_matching(word: Word) -> Matching:
-    """Match every simplex (and the empty cell) of the word's complex.
+def _outward(
+    runs: tuple[tuple[int, int], ...], near: Optional[int]
+) -> list[ExpPresentation]:
+    """Exponent tuples over runs listed outward from an anchor: a run may use
+    fewer than all its letters only when the nearest used run between it and
+    the anchor (letter near, None while no run is used) has another letter."""
+    partial = [((), near)]
+    for a, e in runs:
+        partial = [
+            (beta + (b,), a if b else last)
+            for beta, last in partial
+            for b in (range(e + 1) if a != last else (e,))
+        ]
+    return [beta for beta, _ in partial]
 
-    Needs all run exponents except possibly the last to be even. When the
-    last exponent is odd the matching is perfect; when it is even exactly
-    the top simplex is left critical.
-    """
-    rf = reduced_form(word)
-    alpha = rf.exponents
-    t = len(rf)
-    if any(e % 2 for e in alpha[:-1]):
-        raise ValueError("all run exponents before the last must be even")
 
-    presentations: dict[Word, ExpPresentation] = {EMPTY: (0,) * t}
-    for u in distinct_subwords(word):
-        presentations[u] = left_shifted(rf, u)
-
+def _flip_matching(
+    word: Word, rf: ReducedForm, t: int, named: dict, critical: tuple[Word, ...]
+) -> Matching:
+    """Pair the named cells (cell -> tuple) by the flip at their height,
+    capped at run t. A lower tuple must flip to the tuple of a named cell
+    and back, and the pairs and the critical cells must cover every named
+    cell. Pairs come in removal order."""
     pairs = []
-    critical = []
-    for u, beta in sorted(presentations.items()):
-        if beta == alpha and alpha[-1] % 2 == 0:
-            critical.append(u)
+    for u, beta in named.items():
+        if u in critical:
             continue
         h = height(beta, rf, t)
         if beta[h - 1] % 2:
             continue  # upper side of its pair
-        tau_beta = mu(rf, t, beta)
+        tau_beta = _mu_formula(rf, t, beta)
         tau = rf.expand_presentation(tau_beta)
-        if presentations.get(tau) != tau_beta:
-            raise RuntimeError(
-                f"presentation {tau_beta} does not name a simplex of {word}"
-            )
+        if named.get(tau) != tau_beta:
+            raise RuntimeError(f"flip of {beta} names no matched cell of {word}")
         if _mu_formula(rf, t, tau_beta) != beta:
             raise RuntimeError(f"matching is not involutive at {beta}")
         pairs.append((u, tau))
+    if 2 * len(pairs) + len(critical) != len(named):
+        raise RuntimeError(f"matching does not partition the cells of {word}")
+    pairs.sort(key=lambda p: (-len(p[0]), named[p[0]]))
+    return Matching(word, t, tuple(pairs), critical)
 
-    if 2 * len(pairs) + len(critical) != len(presentations):
-        raise RuntimeError(f"matching does not partition the simplices of {word}")
-    pairs.sort(key=lambda p: (-len(p[0]), presentations[p[0]]))
-    return Matching(word, t, tuple(pairs), tuple(critical))
+
+def full_matching(word: Word) -> Matching:
+    """Match every simplex (and the empty cell) of the word's complex.
+
+    Needs all run exponents except possibly the last to be even. The cells
+    are named by their left-shifted tuples, read from the last run leftward;
+    the zero tuple names the empty cell. When the last exponent is odd the
+    matching is perfect; when it is even exactly the top simplex is left
+    critical.
+    """
+    rf = reduced_form(word)
+    alpha = rf.exponents
+    if any(e % 2 for e in alpha[:-1]):
+        raise ValueError("all run exponents before the last must be even")
+    named = {}
+    for reading in _outward(rf.runs[::-1], None):
+        beta = reading[::-1]
+        named[rf.expand_presentation(beta)] = beta
+    critical = (word,) if alpha[-1] % 2 == 0 else ()
+    return _flip_matching(word, rf, len(rf), named, critical)
 
 
 # ---------------------------------------------------------------------------
@@ -299,55 +324,36 @@ def skeleton_for_matching(X: DeltaComplex, matching: Matching) -> DeltaComplex:
 # Word reduction
 
 
-def reduce_step(word: Word) -> tuple[Word, Matching]:
-    """Delete one letter from the run after the first odd exponent.
+def _first_odd(alpha: tuple[int, ...]) -> Optional[int]:
+    """0-based index of the first odd exponent, None when all are even."""
+    return next((i for i, e in enumerate(alpha) if e % 2), None)
 
-    The removed simplices are exactly the subwords lost by the deletion;
-    each is named by its shifted tuple using that run in full, and the
-    capped flip matches them in pairs. Raises when no run before the last
-    has an odd exponent.
+
+def reduce_step(word: Word) -> tuple[Word, Matching]:
+    """Delete one letter from the run p after the first odd exponent.
+
+    The removed simplices are exactly the subwords lost by the deletion,
+    named by the p-shifted tuples that use run p in full: heads read
+    leftward from p, tails rightward, every head with every tail. The flip
+    capped at the odd run matches them in pairs. Raises when no run before
+    the last has an odd exponent.
     """
     rf = reduced_form(word)
     alpha = rf.exponents
-    t = len(rf)
-    odd = [i for i, e in enumerate(alpha) if e % 2]
-    if not odd or odd[0] == t - 1:
+    odd = _first_odd(alpha)
+    if odd is None or odd == len(rf) - 1:
         raise ValueError("word is fully reduced")
-    k = odd[0] + 1  # 1-based index of the first odd run; k <= t-1
-    runs = list(rf.runs)
-    letter, e = runs[k]
-    runs[k] = (letter, e - 1)
-    new_word = tuple(a for a, n in runs for _ in range(n))
+    k = odd + 1  # 1-based index of the first odd run; 0-based index of p
+    letter, e = rf.runs[k]
+    new_word = rf.expand_presentation(alpha[:k] + (e - 1,) + alpha[k + 1 :])
 
-    removed = sorted(
-        u for u in distinct_subwords(word) if not is_subword(u, new_word)
-    )
-    shifted = {}
-    for u in removed:
-        beta = p_shifted(rf, u, k + 1)
-        if beta[k] != alpha[k]:
-            raise RuntimeError(
-                f"removed simplex {u} does not use run {k + 1} in full"
-            )
-        shifted[u] = beta
-
-    pairs = []
-    for u in removed:
-        beta = shifted[u]
-        h = height(beta, rf, k)
-        if beta[h - 1] % 2:
-            continue
-        tau_beta = _mu_formula(rf, k, beta)
-        tau = rf.expand_presentation(tau_beta)
-        if shifted.get(tau) != tau_beta:
-            raise RuntimeError(f"matching leaves the removed set at {u}")
-        if _mu_formula(rf, k, tau_beta) != beta:
-            raise RuntimeError(f"matching is not involutive at {u}")
-        pairs.append((u, tau))
-    if 2 * len(pairs) != len(removed):
-        raise RuntimeError(f"removed simplices of {word} are not fully matched")
-    pairs.sort(key=lambda p: (-len(p[0]), shifted[p[0]]))
-    return new_word, Matching(word, k, tuple(pairs), ())
+    tails = _outward(rf.runs[k + 1 :], letter)
+    named = {}
+    for head in _outward(rf.runs[k - 1 :: -1], letter):
+        for tail in tails:
+            beta = head[::-1] + (e,) + tail
+            named[rf.expand_presentation(beta)] = beta
+    return new_word, _flip_matching(word, rf, k, named, ())
 
 
 @dataclass(frozen=True)
@@ -408,26 +414,26 @@ def reduce_to_core(word: Word) -> ReductionTrace:
     current = word
     X = build(word)
     while True:
-        try:
+        alpha = reduced_form(current).exponents
+        odd = _first_odd(alpha)
+        if odd is None:
+            break  # the word is its own fundamental subword
+        if odd < len(alpha) - 1:
             after, matching = reduce_step(current)
-        except ValueError:
-            alpha = reduced_form(current).exponents
-            if all(e % 2 == 0 for e in alpha):
-                break  # the word is its own fundamental subword
-            if len(alpha) > 1:
-                flipped = current[::-1]
-                steps.append(ReductionStep("flip", current, flipped, None, None))
-                current, X = flipped, _reversed(X)
-                continue
-            if alpha[0] == 1:
-                break  # single letter
+            step = ReductionStep("delete", current, after, matching.t, matching)
+        elif len(alpha) > 1:
+            flipped = current[::-1]
+            steps.append(ReductionStep("flip", current, flipped, None, None))
+            current, X = flipped, _reversed(X)
+            continue
+        elif alpha[0] == 1:
+            break  # single letter
+        else:
             # a single odd run is stuck in both directions; its matching is
             # perfect, so everything above the base vertex collapses away
             matching = full_matching(current)
             after = current[:1]
             step = ReductionStep("contract", current, after, None, matching)
-        else:
-            step = ReductionStep("delete", current, after, matching.t, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
         report = validate_collapsing_order(X, pairs)
         if not report.valid:

@@ -33,10 +33,6 @@ def format_word(word: Word) -> str:
     return "".join(chr(_A + a) for a in word)
 
 
-def support(word: Word) -> frozenset[int]:
-    return frozenset(word)
-
-
 def canonicalize(word: Word) -> Word:
     """Rename letters to 0, 1, 2, ... by first occurrence."""
     table: dict[int, int] = {}
@@ -68,10 +64,6 @@ class ReducedForm:
 
     def __len__(self) -> int:
         return len(self.runs)
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.runs)
 
     @property
     def exponents(self) -> tuple[int, ...]:

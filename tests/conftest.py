@@ -10,8 +10,17 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 
+from hypothesis import settings
+
 from wordcomplex.complexes import elementary_collapse, free_pairs
 from wordcomplex.words import Word
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None
+)
+settings.load_profile("deterministic")
 
 
 def subwords_by_positions(word: Word) -> set[Word]:

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordcomplex import morse
 from wordcomplex.complexes import DeltaComplex, build, elementary_collapse
@@ -28,7 +30,10 @@ from wordcomplex.words import (
     format_word,
     fundamental_subword,
     height,
+    is_p_shifted,
+    is_subword,
     left_shifted,
+    p_shifted,
     parse_word,
     reduced_form,
 )
@@ -46,6 +51,35 @@ def eligible_words(max_len, alphabet=None):
         exponents = reduced_form(word).exponents
         if all(e % 2 == 0 for e in exponents[:-1]):
             yield word
+
+
+def words_and_reversals(max_len, alphabet):
+    for word in enumerate_canonical_words(max_len, alphabet):
+        yield word
+        yield word[::-1]
+
+
+def lost_subwords(word, new):
+    """The subwords of word that the shorter word no longer has."""
+    return {u for u in distinct_subwords(word) if not is_subword(u, new)}
+
+
+def matched_cells(matching):
+    return {u for pair in matching.pairs for u in pair}
+
+
+@pytest.fixture
+def named_tuples(monkeypatch):
+    """The cell -> tuple maps the matchings hand to their flip routine."""
+    seen = []
+    flip = morse._flip_matching
+
+    def spy(word, rf, t, named, critical):
+        seen.append(named)
+        return flip(word, rf, t, named, critical)
+
+    monkeypatch.setattr(morse, "_flip_matching", spy)
+    return seen
 
 
 # -- the pairing map -----------------------------------------------------------
@@ -137,6 +171,52 @@ def test_full_matching_report_and_order():
         assert all(report.values()), (word, report)
         skeleton = skeleton_for_matching(X, m)
         assert validate_collapsing_order(skeleton, m.pairs).valid, word
+
+
+def test_full_matching_tuples_are_left_shifted(named_tuples):
+    # the tuples read from the last run leftward are exactly the
+    # left-shifted presentations of the subwords, plus the zero tuple
+    for word in eligible_words(8, 4):
+        full_matching(word)
+        named = named_tuples[-1]
+        rf = reduced_form(word)
+        assert set(named) == distinct_subwords(word) | {EMPTY}, word
+        assert named == {
+            u: (0,) * len(rf) if u == EMPTY else left_shifted(rf, u) for u in named
+        }, word
+
+
+def test_flip_matching_refuses_a_flip_leaving_the_named_cells():
+    word = w("aaa")
+    rf = reduced_form(word)
+    named = {EMPTY: (0,), w("a"): (1,), w("aa"): (2,), word: (3,)}
+    assert morse._flip_matching(word, rf, 1, named, ()) == full_matching(word)
+    del named[word]  # the partner of aa
+    with pytest.raises(RuntimeError, match="names no matched cell"):
+        morse._flip_matching(word, rf, 1, named, ())
+
+
+def test_flip_matching_refuses_a_flip_that_is_not_involutive(monkeypatch):
+    word = w("aaa")
+    rf = reduced_form(word)
+    named = {EMPTY: (0,), w("a"): (1,), w("aa"): (2,), word: (3,)}
+    skewed = {(0,): (1,), (1,): (0,), (2,): (3,), (3,): (1,)}  # (3,) goes back to (1,)
+    monkeypatch.setattr(morse, "_mu_formula", lambda rf, t, beta: skewed[beta])
+    with pytest.raises(RuntimeError, match="not involutive"):
+        morse._flip_matching(word, rf, 1, named, ())
+
+
+def test_full_matching_pinned():
+    # sha256 of the sorted-key JSON matchings of the eligible words of
+    # length <= 8 over 4 letters, one per line, as the matching that
+    # enumerated the subwords and left-shifted each one produced them
+    digest = hashlib.sha256()
+    for word in eligible_words(8, 4):
+        data = json.dumps(full_matching(word).to_json(), sort_keys=True)
+        digest.update(data.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "5b0eb304f334836e33524bf16b9dd137a6692e16ca532823c7afb50c92ebc2d3"
+    )
 
 
 def test_critical_count_matches_total_reduced_betti():
@@ -238,13 +318,49 @@ def test_reduce_step_examples():
 
 
 def test_reduce_step_cell_accounting():
-    for word in enumerate_canonical_words(7, 7):
+    for word in words_and_reversals(7, 7):
         try:
             new, matching = reduce_step(word)
         except ValueError:
             continue
         removed = len(distinct_subwords(word)) - len(distinct_subwords(new))
         assert removed == 2 * len(matching.pairs), word
+        assert matched_cells(matching) == lost_subwords(word, new), word
+
+
+def test_reduce_step_tuples_are_p_shifted(named_tuples):
+    # the tuples read outward from run p are the p-shifted presentations
+    # of the lost subwords, each using run p in full
+    for word in words_and_reversals(7, 4):
+        try:
+            new, matching = reduce_step(word)
+        except ValueError:
+            continue
+        named = named_tuples[-1]
+        rf = reduced_form(word)
+        p = matching.t + 1
+        lost = lost_subwords(word, new)
+        assert set(named) == lost, word
+        assert set(named.values()) == {p_shifted(rf, u, p) for u in lost}, word
+        for beta in named.values():
+            assert is_p_shifted(rf, beta, p), (word, beta)
+            assert beta[p - 1] == rf.exponents[p - 1], (word, beta)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 3), min_size=9, max_size=12).map(tuple))
+def test_reduction_on_longer_words(word):
+    try:
+        new, matching = reduce_step(word)
+    except ValueError:
+        pass
+    else:
+        assert matched_cells(matching) == lost_subwords(word, new)
+    trace = reduce_to_core(word)
+    if classify(word).is_spherical:
+        assert trace.terminal == fundamental_subword(word)
+    else:
+        assert len(trace.terminal) == 1
 
 
 def test_reduce_to_core_spherical():

@@ -1,6 +1,8 @@
 import json
 
-from wordcomplex import verify
+import pytest
+
+from wordcomplex import morse, verify
 from wordcomplex.verify import check_tables, examine_word, sweep
 from wordcomplex.words import parse_word
 
@@ -60,6 +62,25 @@ def test_sweep_csv_shape():
 def test_examine_word_failure_is_data_not_exception():
     row = examine_word(parse_word("abab"))
     assert row.checks["homotopy_match"] == "pass"
+
+
+def test_failing_reduction_step_is_reported(monkeypatch):
+    # a delete step that raises ValueError is a failure, not a sign that the
+    # word is fully reduced: retrying it would flip the word forever
+    step = morse.reduce_step
+    calls = []
+
+    def failing_step(word):
+        calls.append(word)
+        if len(calls) > 3:
+            pytest.fail("reduce_to_core retried a failing step")
+        step(word)
+        raise ValueError("bad step")
+
+    monkeypatch.setattr(morse, "reduce_step", failing_step)
+    row = examine_word(parse_word("abaa"))
+    assert row.checks["reduction_law"] == "fail"
+    assert calls == [parse_word("abaa")]
 
 
 def test_dedup_reversal_sweep():
