@@ -16,6 +16,7 @@ import sys
 from . import complexes, homology, morse, verify, words
 
 MAX_PLAIN_LENGTH = 14  # cell counts grow exponentially; longer needs --force
+MAX_PLAIN_CELLS = 10**4  # predicted cells of the word's complex; more needs --force
 MAX_SUBDIVISION_CELLS = 10**5  # predicted cells of sd^k; more needs --force
 
 USAGE_ERROR = 2
@@ -37,6 +38,13 @@ def _parse_word_arg(text: str, force: bool) -> words.Word:
         raise UsageError(
             f"words longer than {MAX_PLAIN_LENGTH} letters need --force"
         )
+    if not force:
+        cells = sum(words.subword_counts(word))
+        if cells > MAX_PLAIN_CELLS:
+            raise UsageError(
+                f"the complex of {text} would have {cells} cells, more than "
+                f"{MAX_PLAIN_CELLS}; it needs --force"
+            )
     return word
 
 
@@ -56,7 +64,7 @@ def _emit_json(payload) -> None:
 
 
 def _analyze_payload(word: words.Word) -> dict:
-    X = complexes.build(word)
+    f_vector = words.subword_counts(word)
     cls = words.classify(word)
     rf = words.reduced_form(word)
     payload = {
@@ -88,9 +96,9 @@ def _analyze_payload(word: words.Word) -> dict:
             if cls.is_spherical
             else None
         ),
-        "euler": X.reduced_euler(),
+        "euler": sum((-1) ** d * f for d, f in enumerate(f_vector)) - 1,
         "homotopy": str(words.predict_homotopy(word)),
-        "f_vector": list(X.f_vector()),
+        "f_vector": list(f_vector),
         "decomposition": None,
     }
     split = words.is_decomposable(word)

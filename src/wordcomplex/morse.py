@@ -26,6 +26,7 @@ subwords of the shorter word is checked there, independently of the tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Optional
 
 from .complexes import DeltaComplex, build, incidence
@@ -90,10 +91,10 @@ class Matching:
         }
 
 
-def _mu_formula(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
-    """Flip the exponent at the height of beta; fill earlier runs in full."""
-    alpha = rf.exponents
-    h = height(beta, rf, t)
+def _mu_formula(
+    alpha: tuple[int, ...], h: int, beta: ExpPresentation
+) -> ExpPresentation:
+    """Flip the exponent at height h of beta; fill earlier runs in full."""
     flipped = xi(beta[h - 1])
     if flipped > alpha[h - 1]:
         raise ValueError("the full tuple is unmatched when the last exponent is even")
@@ -110,7 +111,7 @@ def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
     expansion = rf.expand_presentation(beta)
     if beta != left_shifted(rf, expansion):
         raise ValueError("beta must be a left-shifted presentation")
-    out = _mu_formula(rf, t, beta)
+    out = _mu_formula(rf.exponents, height(beta, rf, t), beta)
     if out != left_shifted(rf, rf.expand_presentation(out)):
         raise RuntimeError(f"matching image {out} of {beta} is not left-shifted")
     if height(out, rf, t) != height(beta, rf, t):
@@ -140,19 +141,37 @@ def _flip_matching(
     """Pair the named cells (cell -> tuple) by the flip at their height,
     capped at run t. A lower tuple must flip to the tuple of a named cell
     and back, and the pairs and the critical cells must cover every named
-    cell. Pairs come in removal order."""
+    cell. Pairs come in removal order.
+
+    The height of a tuple is the first run k <= t it does not use in full,
+    else t; each tuple is checked against 0 <= beta <= alpha as its height
+    is read, and the first t - 1 exponents once for all of them."""
+    alpha = rf.exponents
+    if not 1 <= t <= len(alpha):
+        raise ValueError("index t must lie between 1 and the number of runs")
+    if any(e % 2 for e in alpha[: t - 1]):
+        raise ValueError("exponents before index t must all be even")
+
+    def height_of(beta: ExpPresentation) -> int:
+        if len(beta) != len(alpha) or min(beta) < 0 or any(map(gt, beta, alpha)):
+            raise ValueError("beta must satisfy 0 <= beta <= alpha coordinatewise")
+        for k in range(t - 1):
+            if beta[k] < alpha[k]:
+                return k + 1
+        return t
+
     pairs = []
     for u, beta in named.items():
         if u in critical:
             continue
-        h = height(beta, rf, t)
+        h = height_of(beta)
         if beta[h - 1] % 2:
             continue  # upper side of its pair
-        tau_beta = _mu_formula(rf, t, beta)
+        tau_beta = _mu_formula(alpha, h, beta)
         tau = rf.expand_presentation(tau_beta)
         if named.get(tau) != tau_beta:
             raise RuntimeError(f"flip of {beta} names no matched cell of {word}")
-        if _mu_formula(rf, t, tau_beta) != beta:
+        if _mu_formula(alpha, height_of(tau_beta), tau_beta) != beta:
             raise RuntimeError(f"matching is not involutive at {beta}")
         pairs.append((u, tau))
     if 2 * len(pairs) + len(critical) != len(named):

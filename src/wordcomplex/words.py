@@ -4,12 +4,14 @@ exponent-tuple presentations.
 A word is a tuple of small integer letters. Canonical words use letters
 0, 1, 2, ... in order of first occurrence; everything downstream (complex
 construction, homology, matchings) only depends on the induced partition
-of positions, so canonical renaming is lossless.
+of positions, so canonical renaming is lossless. Distinct subwords are
+listed, counted by length and signed-summed on one next-occurrence
+automaton of the word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 Word = tuple[int, ...]
@@ -49,6 +51,10 @@ class ReducedForm:
     """Run-length encoding of a word; adjacent runs carry distinct letters."""
 
     runs: tuple[tuple[int, int], ...]  # (letter, exponent), every exponent >= 1
+    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exponents", tuple(e for _, e in self.runs))
 
     @classmethod
     def from_word(cls, word: Word) -> "ReducedForm":
@@ -64,10 +70,6 @@ class ReducedForm:
 
     def __len__(self) -> int:
         return len(self.runs)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.runs)
 
     def expand(self) -> Word:
         return tuple(a for a, e in self.runs for _ in range(e))
@@ -108,17 +110,56 @@ def is_subword(u: Word, w: Word) -> bool:
     return i == len(u)
 
 
+def _next_occurrence(word: Word) -> list[dict[int, int]]:
+    """The subsequence automaton: nxt[i][a] is the first position j >= i
+    holding letter a, for i = 0..len(word). Reading a from state i moves to
+    state nxt[i][a] + 1, so each distinct subword is one path from state 0,
+    along its leftmost embedding."""
+    nxt: list[dict[int, int]] = [{}]
+    for i in range(len(word) - 1, -1, -1):
+        row = dict(nxt[-1])
+        row[word[i]] = i
+        nxt.append(row)
+    nxt.reverse()
+    return nxt
+
+
 def distinct_subwords(word: Word) -> frozenset[Word]:
     """All distinct nonempty subwords; these index the cells of the complex.
 
-    Enumerates position subsets, so it is exponential in the length; fine at
-    the desk scale this package targets.
+    A depth-first walk of the subsequence automaton meets each subword
+    once, so the work is proportional to the subwords, not to the 2^n
+    position subsets.
     """
-    n = len(word)
-    found: set[Word] = set()
-    for mask in range(1, 1 << n):
-        found.add(tuple(word[i] for i in range(n) if mask >> i & 1))
+    nxt = _next_occurrence(word)
+    found: list[Word] = []
+    stack: list[tuple[Word, int]] = [((), 0)]
+    while stack:
+        prefix, i = stack.pop()
+        for a, j in nxt[i].items():
+            u = prefix + (a,)
+            found.append(u)
+            stack.append((u, j + 1))
     return frozenset(found)
+
+
+def subword_counts(word: Word) -> tuple[int, ...]:
+    """Distinct subwords by length 1..n, the f-vector of the complex.
+
+    Counts paths of the subsequence automaton without listing them:
+    cnt[i][l], the distinct length-l subwords of word[i:], is the sum over
+    letters a of cnt[nxt[i][a] + 1][l - 1]. O(n^2 * alphabet).
+    """
+    nxt = _next_occurrence(word)
+    n = len(word)
+    cnt: list[list[int]] = [[]] * n + [[1]]
+    for i in range(n - 1, -1, -1):
+        row = [1] + [0] * (n - i)
+        for j in nxt[i].values():
+            for l, c in enumerate(cnt[j + 1], 1):
+                row[l] += c
+        cnt[i] = row
+    return tuple(cnt[0][1:])
 
 
 def euler_direct(word: Word) -> int:
@@ -127,10 +168,8 @@ def euler_direct(word: Word) -> int:
     Each subword of length l contributes (-1)^(l+1); the empty subword
     contributes -1, so the empty word itself evaluates to -1.
     """
-    total = -1
-    for u in distinct_subwords(word):
-        total += -1 if len(u) % 2 == 0 else 1
-    return total
+    counts = subword_counts(word)
+    return sum(c if l % 2 else -c for l, c in enumerate(counts, 1)) - 1
 
 
 def euler_recursive(word: Word) -> int:

@@ -68,7 +68,9 @@ def test_criterion_01_classification_sweep(sweep84):
 
 def test_criterion_02_euler_agreement(sweep84):
     """Four Euler computations agree on every swept word: the signed subword
-    count, the recursion, the f-vector, and the sphericity rule."""
+    count, the recursion, the f-vector, and the sphericity rule. The signed
+    count (a counting pass) and the f-vector (cells listed by a walk) read
+    the same subsequence automaton; the recursion and the rule do not."""
     report, _ = sweep84
     bad = [
         r.word

@@ -74,6 +74,18 @@ def test_subdivide_refuses_large_prediction(capsys, monkeypatch):
     assert code == 2 and "sd^4 would have 1455521 cells" in err
 
 
+def test_plain_words_refuse_large_complexes(capsys, monkeypatch):
+    def never(word):
+        raise AssertionError("built a complex before the size guard")
+
+    monkeypatch.setattr("wordcomplex.complexes.build", never)
+    code, _, err = run(capsys, "homology", "abcdabcdabcdab")
+    assert code == 2 and "11503 cells" in err and "--force" in err
+    # analyze counts its cells without building the complex
+    code, payload, _ = run_json(capsys, "analyze", "abc" * 10, "--force")
+    assert code == 0 and sum(payload["f_vector"]) == 117_897_839
+
+
 # -- analysis --------------------------------------------------------------------
 
 

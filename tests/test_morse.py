@@ -201,7 +201,7 @@ def test_flip_matching_refuses_a_flip_that_is_not_involutive(monkeypatch):
     rf = reduced_form(word)
     named = {EMPTY: (0,), w("a"): (1,), w("aa"): (2,), word: (3,)}
     skewed = {(0,): (1,), (1,): (0,), (2,): (3,), (3,): (1,)}  # (3,) goes back to (1,)
-    monkeypatch.setattr(morse, "_mu_formula", lambda rf, t, beta: skewed[beta])
+    monkeypatch.setattr(morse, "_mu_formula", lambda alpha, h, beta: skewed[beta])
     with pytest.raises(RuntimeError, match="not involutive"):
         morse._flip_matching(word, rf, 1, named, ())
 

@@ -1,4 +1,10 @@
+from collections import Counter
+from itertools import chain
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordcomplex import words as W
 from wordcomplex.words import (
@@ -21,6 +27,7 @@ from wordcomplex.words import (
     predict_homotopy,
     reduced_form,
     right_shifted,
+    subword_counts,
     xi,
 )
 
@@ -126,8 +133,59 @@ def test_distinct_subwords_examples():
 
 
 def test_distinct_subwords_matches_position_oracle():
-    for word in all_words(6):
+    for word in chain(all_words(6), all_words(8, 4)):
         assert distinct_subwords(word) == subwords_by_positions(word)
+
+
+def counts_by_length(subwords, n):
+    sizes = Counter(len(u) for u in subwords)
+    return tuple(sizes[k] for k in range(1, n + 1))
+
+
+def test_subword_counts_match_position_oracle():
+    assert subword_counts(()) == ()
+    for word in all_words(8, 4):
+        want = counts_by_length(subwords_by_positions(word), len(word))
+        assert subword_counts(word) == want, word
+
+
+def test_subword_counts_closed_forms():
+    for n in range(1, 21):
+        assert subword_counts((0,) * n) == (1,) * n
+        assert subword_counts(tuple(range(n))) == tuple(
+            comb(n, k) for k in range(1, n + 1)
+        )
+    # abc repeated ten times: 30 letters, far beyond any enumeration
+    assert sum(subword_counts(w("abc" * 10))) == 117_897_839
+
+
+# random words past the exhaustive bounds; the position oracle runs only up
+# to 11 letters, where it lists 2047 position subsets per word
+longer_words = st.lists(st.integers(0, 3), min_size=9, max_size=13).map(tuple)
+
+
+@settings(max_examples=50)
+@given(longer_words)
+def test_subword_counts_count_the_walked_subwords(word):
+    want = counts_by_length(distinct_subwords(word), len(word))
+    assert subword_counts(word) == want
+
+
+@settings(max_examples=50)
+@given(longer_words)
+def test_euler_routes_agree_on_longer_words(word):
+    assert euler_direct(word) == euler_recursive(word)
+    if len(word) <= 11:
+        assert euler_direct(word) == euler_by_enumeration(word)
+
+
+@settings(max_examples=50)
+@given(longer_words)
+def test_f_vector_invariant_under_renaming_and_reversal(word):
+    f = subword_counts(word)
+    assert subword_counts(canonicalize(word)) == f
+    assert subword_counts(word[::-1]) == f
+    assert subword_counts(canonicalize(word[::-1])) == f
 
 
 # -- Euler characteristics ---------------------------------------------------
