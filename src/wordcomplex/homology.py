@@ -1,12 +1,25 @@
 """Exact integral homology of finite complexes via Smith normal form.
 
-All arithmetic is on Python integers, so entry growth is harmless. The
-reduction keeps the inverse of the row transform and the column transform,
-giving one certificate identity, M V = U_inv D, which avoids a dense triple
-product and so stays cheap enough to check for every matrix a sweep
-produces. Both transforms are products of swaps, negations and integer
-additions of one line to another, so they are unimodular by construction;
-the tests prove it again by determinant.
+All arithmetic is on Python integers, so entry growth is harmless.
+
+The reduction is sparse elimination by unit pivots, after Dumas, Saunders
+and Villard, "On efficient sparse integer matrix Smith normal form
+computations" (JSC 2001). The matrix is held as rows of {column: value}
+with a column -> rows index. Each step takes a +-1 entry from the row with
+the fewest entries, clears its column by row operations and its row by
+column operations. The block left when no unit entry remains, if any, is
+finished by the dense minimal-pivot routine alone, and its transforms are
+folded back. No boundary map of a word complex has left such a block yet:
+every matrix of the words of length <= 8 over 4 letters, and of the
+benchmark's hard words, reduces by unit pivots alone.
+
+The inverse of the row transform and the column transform are kept as
+sparse columns, giving one certificate identity, M V = U_inv D, checked
+column by column by a sparse product, like the vanishing of consecutive
+boundary maps: cheap enough for every matrix a sweep produces. Both
+transforms are products of swaps, negations and integer additions of one
+line to another, so they are unimodular by construction; the tests prove
+it again by determinant.
 
 Reduced homology is realized by an augmentation row of ones at dimension
 zero rather than by special-casing connectivity.
@@ -15,31 +28,17 @@ zero rather than by special-casing connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .complexes import DeltaComplex, deletion_sign
 
 Matrix = list[list[int]]
+Column = dict[int, int]  # index -> nonzero entry
 
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(A: Matrix, B: Matrix) -> Matrix:
-    """Dense product, skipping zero entries of the left factor."""
-    if not A or not B:
-        return [[] for _ in A]
-    n = len(B[0])
-    out = [[0] * n for _ in A]
-    for i, row in enumerate(A):
-        acc = out[i]
-        for k, a in enumerate(row):
-            if a:
-                brow = B[k]
-                for j in range(n):
-                    if brow[j]:
-                        acc[j] += a * brow[j]
-    return out
 
 
 def boundary_matrix(X: DeltaComplex, n: int) -> Matrix:
@@ -58,40 +57,160 @@ def boundary_matrix(X: DeltaComplex, n: int) -> Matrix:
     return M
 
 
+def _sparse_columns(M: Matrix) -> list[Column]:
+    """The nonzero entries of each column of M."""
+    index = range(len(M[0]) if M else 0)
+    columns: list[Column] = [{} for _ in index]
+    for i, row in enumerate(M):
+        for j in compress(index, row):
+            columns[j][i] = row[j]
+    return columns
+
+
+def _combine(columns: list[Column], coeffs: Column) -> Column:
+    """The sum of x * columns[j] over the entries j: x of coeffs."""
+    if len(coeffs) == 1:
+        [(j, x)] = coeffs.items()
+        return {i: x * a for i, a in columns[j].items()}
+    acc: Column = {}
+    get = acc.get
+    for j, x in coeffs.items():
+        for i, a in columns[j].items():
+            acc[i] = get(i, 0) + x * a
+    return {i: y for i, y in acc.items() if y}
+
+
+def _add_multiple(dst: Column, q: int, src: Column) -> None:
+    """dst += q * src, dropping the entries that cancel."""
+    for i, x in src.items():
+        y = dst.get(i, 0) + q * x
+        if y:
+            dst[i] = y
+        else:
+            del dst[i]
+
+
+def _fits(columns: list[Column], size: int) -> bool:
+    """The columns form a size x size matrix."""
+    used = set().union(*columns)
+    return len(columns) == size and (not used or 0 <= min(used) <= max(used) < size)
+
+
 @dataclass
 class SmithNormalForm:
     shape: tuple[int, int]
     diagonal: tuple[int, ...]  # positive, each dividing the next
-    U_inv: Matrix
-    V: Matrix
+    U_inv: list[Column]  # m sparse columns
+    V: list[Column]  # n sparse columns
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
 
-    def diagonal_matrix(self) -> Matrix:
-        m, n = self.shape
-        D = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.diagonal):
-            D[i][i] = d
-        return D
-
     def check(self, M: Matrix) -> None:
-        """Verify the divisibility chain and M V = U_inv D; raises on any
-        failure."""
+        """Verify the divisibility chain and M V = U_inv D column by column:
+        M times column t of V must be d_t times column t of U_inv within the
+        rank, and zero past it. Raises on any failure."""
         for a, b in zip(self.diagonal, self.diagonal[1:]):
             if a <= 0 or b % a:
                 raise ArithmeticError("invariant factors fail the divisor chain")
         if self.diagonal and self.diagonal[0] <= 0:
             raise ArithmeticError("invariant factors must be positive")
-        D = self.diagonal_matrix()
-        if matmul(M, self.V) != matmul(self.U_inv, D):
-            raise ArithmeticError("certificate M V = U_inv D fails")
+        m, n = self.shape
+        if (
+            (len(M), len(M[0]) if M else 0) != self.shape
+            or not _fits(self.U_inv, m)
+            or not _fits(self.V, n)
+        ):
+            raise ArithmeticError("certificate shapes do not match M")
+        columns = _sparse_columns(M)
+        for t, v in enumerate(self.V):
+            d = self.diagonal[t] if t < self.rank else 0
+            want = {i: d * x for i, x in self.U_inv[t].items()} if d else {}
+            if _combine(columns, v) != want:
+                raise ArithmeticError("certificate M V = U_inv D fails")
 
 
 def smith_normal_form(M: Matrix) -> SmithNormalForm:
-    """Diagonalize over the integers by unimodular row/column operations,
-    picking the minimal-absolute-value pivot to limit entry growth."""
+    """Diagonalize over the integers by unimodular row and column operations.
+
+    Unit pivots are eliminated on sparse rows, each from the row with the
+    fewest entries; a block left with no unit entry is finished by the dense
+    routine and its transforms are folded into the sparse ones."""
+    m = len(M)
+    n = len(M[0]) if M else 0
+    index = range(n)
+    rows = [{j: r[j] for j in compress(index, r)} for r in M]
+    where: list[set[int]] = [set() for _ in index]  # column -> rows using it
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    U_inv = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in index]
+    pivots = []  # (row, column, +-1)
+    queue = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(queue)
+    while queue:
+        size, p = heappop(queue)
+        row = rows[p]
+        if size != len(row):
+            continue  # queued again when a row operation changed it
+        c = None  # the unit entry with the fewest entries in its column
+        for j, x in row.items():
+            if (x == 1 or x == -1) and (c is None or len(where[j]) < len(where[c])):
+                c = j
+        if c is None:
+            continue
+        u = row[c]
+        # r_k += q r_p clears column c; U_inv takes the inverse column operation
+        for k in where[c] - {p}:
+            rk = rows[k]
+            q = -u * rk[c]
+            for j, x in row.items():
+                y = rk.get(j, 0) + q * x
+                if y:
+                    if j not in rk:
+                        where[j].add(k)
+                    rk[j] = y
+                else:
+                    del rk[j]
+                    where[j].discard(k)
+            if rk:
+                heappush(queue, (len(rk), k))
+            _add_multiple(U_inv[p], -q, U_inv[k])
+        # c_l += q c_c clears row p and, column c being zero off the pivot
+        # now, changes no other entry
+        for l, x in row.items():
+            where[l].discard(p)
+            if l != c:
+                _add_multiple(V[l], -u * x, V[c])
+        rows[p] = {}
+        pivots.append((p, c, u))
+        if u < 0:
+            U_inv[p] = {i: -x for i, x in U_inv[p].items()}
+
+    rest_rows = [i for i, row in enumerate(rows) if row]
+    rest_cols = sorted({j for i in rest_rows for j in rows[i]})
+    diagonal = (1,) * len(pivots)
+    if rest_rows:
+        fix = _dense_snf([[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows])
+        diagonal += fix.diagonal
+        for lines, rest, cols in ((U_inv, rest_rows, fix.U_inv), (V, rest_cols, fix.V)):
+            folded = [_combine(lines, {rest[s]: x for s, x in col.items()}) for col in cols]
+            for i, col in zip(rest, folded):
+                lines[i] = col
+    lead_rows = [p for p, _, _ in pivots] + rest_rows
+    lead_cols = [c for _, c, _ in pivots] + rest_cols
+    row_order = lead_rows + sorted(set(range(m)).difference(lead_rows))
+    col_order = lead_cols + sorted(set(index).difference(lead_cols))
+    return SmithNormalForm(
+        (m, n), diagonal, [U_inv[i] for i in row_order], [V[j] for j in col_order]
+    )
+
+
+def _dense_snf(M: Matrix) -> SmithNormalForm:
+    """Diagonalize a dense block by the minimal-absolute-value pivot, which
+    limits entry growth."""
     m = len(M)
     n = len(M[0]) if M else 0
     A = [row[:] for row in M]
@@ -188,7 +307,9 @@ def smith_normal_form(M: Matrix) -> SmithNormalForm:
         s += 1
 
     diagonal = tuple(A[i][i] for i in range(s))
-    return SmithNormalForm((m, n), diagonal, U_inv, V)
+    return SmithNormalForm(
+        (m, n), diagonal, _sparse_columns(U_inv), _sparse_columns(V)
+    )
 
 
 @dataclass(frozen=True)
@@ -248,9 +369,9 @@ def reduced_homology(X: DeltaComplex, certify: bool = False) -> HomologyProfile:
     if certify:
         for M, snf in data:
             snf.check(M)
-        for (M, _), (N, _) in zip(data, data[1:]):
-            prod = matmul(M, N)
-            if any(any(row) for row in prod):
+        columns = [_sparse_columns(M) for M, _ in data]
+        for low, high in zip(columns, columns[1:]):
+            if any(_combine(low, col) for col in high):
                 raise ArithmeticError("consecutive boundary maps do not compose to zero")
     groups = []
     for n in range(X.dim + 1):

@@ -160,6 +160,10 @@ def _flip_matching(
                 return k + 1
         return t
 
+    # Every tuple v of named sits at the key expand(v), so the tuples are
+    # distinct, and named.get(expand(v)) == v holds exactly when v is one of
+    # them: the flip image's cell is read from the inverse map, unexpanded.
+    cell_of = {beta: u for u, beta in named.items()}
     pairs = []
     for u, beta in named.items():
         if u in critical:
@@ -168,8 +172,8 @@ def _flip_matching(
         if beta[h - 1] % 2:
             continue  # upper side of its pair
         tau_beta = _mu_formula(alpha, h, beta)
-        tau = rf.expand_presentation(tau_beta)
-        if named.get(tau) != tau_beta:
+        tau = cell_of.get(tau_beta)
+        if tau is None:
             raise RuntimeError(f"flip of {beta} names no matched cell of {word}")
         if _mu_formula(alpha, height_of(tau_beta), tau_beta) != beta:
             raise RuntimeError(f"matching is not involutive at {beta}")

@@ -123,8 +123,39 @@ def minors_gcd(M: list[list[int]], k: int) -> int:
     return g
 
 
-def assert_unimodular(A: list[list[int]]) -> None:
-    """A square integer matrix with determinant +-1, so invertible over Z."""
+def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """Dense product, skipping zero entries of the left factor."""
+    if not A or not B:
+        return [[] for _ in A]
+    n = len(B[0])
+    out = [[0] * n for _ in A]
+    for i, row in enumerate(A):
+        acc = out[i]
+        for k, a in enumerate(row):
+            if a:
+                brow = B[k]
+                for j in range(n):
+                    if brow[j]:
+                        acc[j] += a * brow[j]
+    return out
+
+
+def dense_view(columns: list[dict[int, int]]) -> list[list[int]]:
+    """The square matrix whose t-th column has the entries {row: value} of
+    columns[t]; an entry outside the square fails."""
+    size = len(columns)
+    A = [[0] * size for _ in range(size)]
+    for t, col in enumerate(columns):
+        for i, x in col.items():
+            assert 0 <= i < size, (t, i)
+            A[i][t] = x
+    return A
+
+
+def assert_unimodular(columns: list[dict[int, int]]) -> None:
+    """A square integer matrix, given by its sparse columns, with
+    determinant +-1, so invertible over Z."""
+    A = dense_view(columns)
     assert abs(_det(A)) == 1, A
 
 

@@ -1,19 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wordcomplex import homology
 from wordcomplex.complexes import build, join
 from wordcomplex.homology import (
+    _dense_snf,
     boundary_matrix,
     chain_data,
-    matmul,
     matrix_to_csv,
     reduced_homology,
     smith_normal_form,
 )
-from wordcomplex.words import enumerate_canonical_words, parse_word
+from wordcomplex.words import enumerate_canonical_words, parse_word, predict_homotopy
 
-from conftest import assert_unimodular, minors_gcd
+from conftest import assert_unimodular, matmul, minors_gcd
 
 
 def w(text):
@@ -120,6 +123,98 @@ def test_snf_certificates_on_real_boundary_matrices():
             assert_unimodular(snf.V)
 
 
+def test_sparse_engine_agrees_with_the_dense_routine():
+    # the dense minimal-pivot routine alone is the second route for every
+    # chain matrix of the canonical words of length <= 6 over 6 letters
+    checked = 0
+    for word in all_words(6):
+        X = build(word)
+        for n in range(X.dim + 1):
+            M = boundary_matrix(X, n)
+            assert _dense_snf(M).diagonal == smith_normal_form(M).diagonal, (word, n)
+            checked += 1
+    assert checked == 1558
+
+
+def test_snf_of_a_mixed_matrix_folds_the_residual():
+    # a permuted unit block (rows 0, 1 at columns 3, 1) beside the non-unit
+    # block [[2, 4, 4], [-6, 6, 12], [10, 4, 16]] (rows 2-4, columns 0, 2,
+    # 4), coupled by r2 += 2 r0, r4 += 4 r1 and c4 += 2 c3: the unit pivots
+    # must clear the coupling, and the residual they leave has no unit
+    # entry, so the dense routine finishes it and its transforms are folded
+    # back
+    M = [
+        [0, 0, 0, 1, 2, 0],
+        [0, -1, 0, 0, 0, 0],
+        [2, 0, 4, 2, 8, 0],
+        [-6, 0, 6, 0, 12, 0],
+        [10, -4, 4, 0, 16, 0],
+    ]
+    snf = smith_normal_form(M)
+    assert snf.diagonal == (1, 1, 2, 2, 156)
+    snf.check(M)
+    assert_unimodular(snf.U_inv)
+    assert_unimodular(snf.V)
+    product = 1
+    for k, d in enumerate(snf.diagonal, start=1):
+        product *= d
+        assert minors_gcd(M, k) == product
+    assert _dense_snf(M).diagonal == snf.diagonal
+
+
+def test_snf_certificate_rejects_tampering():
+    M = boundary_matrix(build(w("abcab")), 2)
+    snf = smith_normal_form(M)
+    snf.check(M)
+    assert 0 < snf.rank < len(snf.V)
+
+    tampered = smith_normal_form(M)
+    col = tampered.V[0]  # inside the rank
+    j = next(iter(col))
+    assert any(row[j] for row in M)
+    col[j] *= 2
+    with pytest.raises(ArithmeticError, match="M V = U_inv D"):
+        tampered.check(M)
+
+    tampered = smith_normal_form(M)
+    col = tampered.U_inv[0]
+    col[next(iter(col))] *= 2
+    with pytest.raises(ArithmeticError, match="M V = U_inv D"):
+        tampered.check(M)
+
+    # a doubled kernel column still satisfies M V = U_inv D, and only the
+    # determinant sees it
+    tampered = smith_normal_form(M)
+    t = tampered.rank
+    tampered.V[t] = {j: 2 * x for j, x in tampered.V[t].items()}
+    tampered.check(M)
+    with pytest.raises(AssertionError):
+        assert_unimodular(tampered.V)
+
+    # a kernel column moved off the kernel
+    tampered = smith_normal_form(M)
+    tampered.V[t][j] = tampered.V[t].get(j, 0) + 1
+    with pytest.raises(ArithmeticError, match="M V = U_inv D"):
+        tampered.check(M)
+
+
+def test_certify_rejects_boundaries_that_do_not_compose(monkeypatch):
+    X = build(w("abcab"))
+    assert reduced_homology(X, certify=True).is_trivial()
+    exact = homology.boundary_matrix
+
+    def flipped(X, n):
+        M = exact(X, n)
+        if n == 2:  # one sign of d_2 flipped; each matrix keeps its own SNF
+            j = next(j for j, x in enumerate(M[0]) if x)
+            M[0][j] = -M[0][j]
+        return M
+
+    monkeypatch.setattr(homology, "boundary_matrix", flipped)
+    with pytest.raises(ArithmeticError, match="compose to zero"):
+        reduced_homology(X, certify=True)
+
+
 # -- homology -----------------------------------------------------------------
 
 
@@ -142,6 +237,17 @@ def test_homology_certified_and_torsion_free_small():
     for word in all_words(6):
         profile = reduced_homology(build(word), certify=True)
         assert not profile.has_torsion(), word
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 3), min_size=9, max_size=12).map(tuple))
+def test_homotopy_match_on_longer_words(word):
+    profile = reduced_homology(build(word), certify=True)
+    predicted = predict_homotopy(word)
+    if predicted.kind == "contractible":
+        assert profile.is_trivial(), word
+    else:
+        assert profile.sphere_dimension() == predicted.sphere_dim, word
 
 
 def test_betti_alternating_sum_is_reduced_euler():
