@@ -274,7 +274,8 @@ def cmd_export(args) -> int:
     else:  # csv: boundary matrices, augmentation included
         for n in range(X.dim + 1):
             sys.stdout.write(f"# boundary matrix {n}\n")
-            sys.stdout.write(homology.matrix_to_csv(homology.boundary_matrix(X, n)))
+            M = homology.boundary_matrix(X, n)
+            sys.stdout.write(homology.matrix_to_csv(M, homology.boundary_rows(X, n)))
     return 0
 
 

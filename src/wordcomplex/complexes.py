@@ -133,7 +133,9 @@ class DeltaComplex:
         """Subcomplex with the given cells dropped; ids are preserved.
 
         The remainder must be face-closed, otherwise the face table would
-        dangle and the result would not be a complex.
+        dangle and the result would not be a complex. A coface table already
+        built is carried over, with the slots of the dropped cells filtered
+        out of their faces' entries.
         """
         removed = set(removed)
         keep = [c for c in self.dim_of if c not in removed]
@@ -146,12 +148,19 @@ class DeltaComplex:
         cells_by_dim = [
             [c for c in cs if c not in removed] for cs in self.cells_by_dim
         ]
-        return DeltaComplex(
+        sub = DeltaComplex(
             cells_by_dim,
             {c: self.faces[c] for c in keep},
             {c: self.labels[c] for c in keep},
             name=self.name,
         )
+        if self._coface_slots is not None:
+            slots = {c: self._coface_slots[c] for c in keep}
+            touched = {f for c in removed for f in self.faces.get(c, ())}
+            for f in touched.difference(removed):
+                slots[f] = tuple([s for s in slots[f] if s[0] not in removed])
+            sub._coface_slots = slots
+        return sub
 
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""

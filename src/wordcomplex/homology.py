@@ -2,6 +2,11 @@
 
 All arithmetic is on Python integers, so entry growth is harmless.
 
+A boundary map is built once, as sparse columns {row: value} read straight
+from the face table, and those same columns feed the reduction, its
+certificate and the vanishing of consecutive maps. No dense boundary
+matrix is built; the CSV export writes its rows at the edge.
+
 The reduction is sparse elimination by unit pivots, after Dumas, Saunders
 and Villard, "On efficient sparse integer matrix Smith normal form
 computations" (JSC 2001). The matrix is held as rows of {column: value}
@@ -12,6 +17,14 @@ finished by the dense minimal-pivot routine alone, and its transforms are
 folded back. No boundary map of a word complex has left such a block yet:
 every matrix of the words of length <= 8 over 4 letters, and of the
 benchmark's hard words, reduces by unit pivots alone.
+
+A chain complex is reduced from the top dimension down, with the clearing
+(twist) of Chen and Kerber, "Persistent homology computation with a twist"
+(EuroCG 2011). The first columns of the row transform's inverse of
+d_{n+1}, one per unit pivot, are boundaries, so d_n maps them to zero, and
+each has its leading entry at its pivot row. Swapping them in for the unit
+vectors of those n-cells is a unimodular change of basis, so d_n is reduced
+on its other columns alone and the cleared columns join its kernel.
 
 The inverse of the row transform and the column transform are kept as
 sparse columns, giving one certificate identity, M V = U_inv D, checked
@@ -33,7 +46,7 @@ from itertools import compress
 
 from .complexes import DeltaComplex, deletion_sign
 
-Matrix = list[list[int]]
+Matrix = list[list[int]]  # dense rows: the residual block and the CSV edge
 Column = dict[int, int]  # index -> nonzero entry
 
 
@@ -41,43 +54,56 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def boundary_matrix(X: DeltaComplex, n: int) -> Matrix:
-    """Incidence matrix from n-cells to (n-1)-cells; n = 0 gives the
+def boundary_rows(X: DeltaComplex, n: int) -> int:
+    """The row count of boundary_matrix(X, n): the (n-1)-cells, or the one
+    augmentation row at n = 0."""
+    return len(X.cells_by_dim[n - 1]) if n else 1
+
+
+def boundary_matrix(X: DeltaComplex, n: int) -> list[Column]:
+    """Incidence map from n-cells to (n-1)-cells as sparse columns, one per
+    n-cell, rows indexed by the (n-1)-cells in order; n = 0 gives the
     augmentation row of ones."""
     if n < 0 or n > X.dim:
         raise ValueError(f"boundary index {n} out of range 0..{X.dim}")
-    cols = X.cells(n)
+    cols = X.cells_by_dim[n]
     if n == 0:
-        return [[1] * len(cols)]
-    rows = {c: i for i, c in enumerate(X.cells(n - 1))}
-    M = [[0] * len(cols) for _ in rows]
-    for j, tau in enumerate(cols):
-        for i, f in enumerate(X.faces[tau]):
-            M[rows[f]][j] += deletion_sign(i)
-    return M
-
-
-def _sparse_columns(M: Matrix) -> list[Column]:
-    """The nonzero entries of each column of M."""
-    index = range(len(M[0]) if M else 0)
-    columns: list[Column] = [{} for _ in index]
-    for i, row in enumerate(M):
-        for j in compress(index, row):
-            columns[j][i] = row[j]
+        return [{0: 1} for _ in cols]
+    row_of = {c: i for i, c in enumerate(X.cells_by_dim[n - 1])}.__getitem__
+    signs = tuple(deletion_sign(i) for i in range(n + 1))
+    faces = X.faces
+    columns = [dict(zip(map(row_of, faces[tau]), signs)) for tau in cols]
+    for j, col in enumerate(columns):
+        if len(col) <= n:  # a repeated face: its signs add up
+            col.clear()
+            for i, x in zip(map(row_of, faces[cols[j]]), signs):
+                y = col.get(i, 0) + x
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
     return columns
 
 
 def _combine(columns: list[Column], coeffs: Column) -> Column:
     """The sum of x * columns[j] over the entries j: x of coeffs."""
-    if len(coeffs) == 1:
-        [(j, x)] = coeffs.items()
-        return {i: x * a for i, a in columns[j].items()}
     acc: Column = {}
     get = acc.get
     for j, x in coeffs.items():
         for i, a in columns[j].items():
             acc[i] = get(i, 0) + x * a
     return {i: y for i, y in acc.items() if y}
+
+
+def _product_is(columns: list[Column], coeffs: Column, d: int, want: Column) -> bool:
+    """Whether the sum of x * columns[j] over the entries j: x of coeffs is
+    d * want."""
+    acc = {i: -d * x for i, x in want.items()} if d else {}
+    get = acc.get
+    for j, x in coeffs.items():
+        for i, a in columns[j].items():
+            acc[i] = get(i, 0) + x * a
+    return not any(acc.values())
 
 
 def _add_multiple(dst: Column, q: int, src: Column) -> None:
@@ -90,10 +116,10 @@ def _add_multiple(dst: Column, q: int, src: Column) -> None:
             del dst[i]
 
 
-def _fits(columns: list[Column], size: int) -> bool:
-    """The columns form a size x size matrix."""
+def _fits(columns: list[Column], rows: int) -> bool:
+    """Every entry of the columns lies in rows 0..rows-1."""
     used = set().union(*columns)
-    return len(columns) == size and (not used or 0 <= min(used) <= max(used) < size)
+    return not used or 0 <= min(used) <= max(used) < rows
 
 
 @dataclass
@@ -102,52 +128,58 @@ class SmithNormalForm:
     diagonal: tuple[int, ...]  # positive, each dividing the next
     U_inv: list[Column]  # m sparse columns
     V: list[Column]  # n sparse columns
+    # the rows of the unit pivots in elimination order: U_inv[t] has its
+    # leading entry at unit_rows[t], the other rows it touches being pivoted
+    # later or never
+    unit_rows: tuple[int, ...] = ()
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
 
-    def check(self, M: Matrix) -> None:
-        """Verify the divisibility chain and M V = U_inv D column by column:
-        M times column t of V must be d_t times column t of U_inv within the
-        rank, and zero past it. Raises on any failure."""
+    def check(self, M: list[Column]) -> None:
+        """Verify the divisibility chain and M V = U_inv D column by column,
+        M given by its sparse columns: M times column t of V must be d_t
+        times column t of U_inv within the rank, and zero past it. Raises on
+        any failure."""
         for a, b in zip(self.diagonal, self.diagonal[1:]):
             if a <= 0 or b % a:
                 raise ArithmeticError("invariant factors fail the divisor chain")
         if self.diagonal and self.diagonal[0] <= 0:
             raise ArithmeticError("invariant factors must be positive")
         m, n = self.shape
-        if (
-            (len(M), len(M[0]) if M else 0) != self.shape
-            or not _fits(self.U_inv, m)
-            or not _fits(self.V, n)
+        if not (
+            len(M) == len(self.V) == n
+            and len(self.U_inv) == m
+            and _fits(M, m)
+            and _fits(self.U_inv, m)
+            and _fits(self.V, n)
         ):
             raise ArithmeticError("certificate shapes do not match M")
-        columns = _sparse_columns(M)
+        rank = self.rank
         for t, v in enumerate(self.V):
-            d = self.diagonal[t] if t < self.rank else 0
-            want = {i: d * x for i, x in self.U_inv[t].items()} if d else {}
-            if _combine(columns, v) != want:
+            d, want = (self.diagonal[t], self.U_inv[t]) if t < rank else (0, {})
+            if not _product_is(M, v, d, want):
                 raise ArithmeticError("certificate M V = U_inv D fails")
 
 
-def smith_normal_form(M: Matrix) -> SmithNormalForm:
-    """Diagonalize over the integers by unimodular row and column operations.
+def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
+    """Diagonalize the m-row matrix with sparse columns M over the integers
+    by unimodular row and column operations.
 
     Unit pivots are eliminated on sparse rows, each from the row with the
     fewest entries; a block left with no unit entry is finished by the dense
     routine and its transforms are folded into the sparse ones."""
-    m = len(M)
-    n = len(M[0]) if M else 0
+    n = len(M)
     index = range(n)
-    rows = [{j: r[j] for j in compress(index, r)} for r in M]
-    where: list[set[int]] = [set() for _ in index]  # column -> rows using it
-    for i, row in enumerate(rows):
-        for j in row:
-            where[j].add(i)
+    rows: list[Column] = [{} for _ in range(m)]
+    where = [set(col) for col in M]  # column -> rows using it
+    for j, col in enumerate(M):
+        for i, x in col.items():
+            rows[i][j] = x
     U_inv = [{i: 1} for i in range(m)]
     V = [{j: 1} for j in index]
-    pivots = []  # (row, column, +-1)
+    pivots = []  # (row, column)
     queue = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(queue)
     while queue:
@@ -162,7 +194,12 @@ def smith_normal_form(M: Matrix) -> SmithNormalForm:
         if c is None:
             continue
         u = row[c]
-        # r_k += q r_p clears column c; U_inv takes the inverse column operation
+        # every row with an entry in column c is unpivoted, its U_inv column
+        # still a unit vector, so M V[c] is column c as it stands; with the
+        # sign of u folded in, the diagonal entry is 1 and that column is the
+        # pivot's U_inv column, the inverse of the row operations below
+        U_inv[p] = {k: rows[k][c] for k in where[c]}
+        # r_k += q r_p clears column c
         for k in where[c] - {p}:
             rk = rows[k]
             q = -u * rk[c]
@@ -177,7 +214,6 @@ def smith_normal_form(M: Matrix) -> SmithNormalForm:
                     where[j].discard(k)
             if rk:
                 heappush(queue, (len(rk), k))
-            _add_multiple(U_inv[p], -q, U_inv[k])
         # c_l += q c_c clears row p and, column c being zero off the pivot
         # now, changes no other entry
         for l, x in row.items():
@@ -185,9 +221,7 @@ def smith_normal_form(M: Matrix) -> SmithNormalForm:
             if l != c:
                 _add_multiple(V[l], -u * x, V[c])
         rows[p] = {}
-        pivots.append((p, c, u))
-        if u < 0:
-            U_inv[p] = {i: -x for i, x in U_inv[p].items()}
+        pivots.append((p, c))
 
     rest_rows = [i for i, row in enumerate(rows) if row]
     rest_cols = sorted({j for i in rest_rows for j in rows[i]})
@@ -199,13 +233,28 @@ def smith_normal_form(M: Matrix) -> SmithNormalForm:
             folded = [_combine(lines, {rest[s]: x for s, x in col.items()}) for col in cols]
             for i, col in zip(rest, folded):
                 lines[i] = col
-    lead_rows = [p for p, _, _ in pivots] + rest_rows
-    lead_cols = [c for _, c, _ in pivots] + rest_cols
+    unit_rows = tuple(p for p, _ in pivots)
+    lead_rows = list(unit_rows) + rest_rows
+    lead_cols = [c for _, c in pivots] + rest_cols
     row_order = lead_rows + sorted(set(range(m)).difference(lead_rows))
     col_order = lead_cols + sorted(set(index).difference(lead_cols))
     return SmithNormalForm(
-        (m, n), diagonal, [U_inv[i] for i in row_order], [V[j] for j in col_order]
+        (m, n),
+        diagonal,
+        [U_inv[i] for i in row_order],
+        [V[j] for j in col_order],
+        unit_rows,
     )
+
+
+def _sparse_columns(M: Matrix) -> list[Column]:
+    """The nonzero entries of each column of the dense M."""
+    index = range(len(M[0]) if M else 0)
+    columns: list[Column] = [{} for _ in index]
+    for i, row in enumerate(M):
+        for j in compress(index, row):
+            columns[j][i] = row[j]
+    return columns
 
 
 def _dense_snf(M: Matrix) -> SmithNormalForm:
@@ -351,28 +400,59 @@ class HomologyProfile:
         ]
 
 
-def chain_data(X: DeltaComplex) -> list[tuple[Matrix, SmithNormalForm]]:
-    """Boundary matrices (augmented at dimension zero) with their reductions."""
-    return [
-        (M, smith_normal_form(M))
-        for M in (boundary_matrix(X, n) for n in range(X.dim + 1))
-    ]
+def _cleared(M: list[Column], m: int, upper: SmithNormalForm) -> SmithNormalForm:
+    """The reduction of d_n (columns M, m rows) with the cells that were the
+    unit pivot rows of d_{n+1} (reduced as upper) cleared.
+
+    In the basis of those cells' boundary columns U_inv[t] of upper and the
+    unit vectors of the other cells, d_n is zero on the first part and M on
+    the second, so V = [cleared columns | unit vectors] blockdiag(I, V_sub)
+    with V_sub the reduction of the kept columns alone. It is unimodular:
+    the cleared columns are triangular on their pivot rows with +-1 there.
+    Only unit pivots are cleared, because the dense routine's fold leaves
+    their columns alone."""
+    units = len(upper.unit_rows)
+    cleared = set(upper.unit_rows)
+    kept = [j for j in range(len(M)) if j not in cleared]
+    sub = smith_normal_form([M[j] for j in kept], m)
+    V = [{kept[k]: x for k, x in v.items()} for v in sub.V]
+    r = sub.rank
+    kernel = [dict(u) for u in upper.U_inv[:units]]
+    return SmithNormalForm(
+        (m, len(M)), sub.diagonal, sub.U_inv, V[:r] + kernel + V[r:], sub.unit_rows
+    )
+
+
+def chain_data(X: DeltaComplex) -> list[tuple[list[Column], SmithNormalForm]]:
+    """Boundary maps (augmented at dimension zero) with their reductions,
+    computed from the top dimension down, each map with the unit pivot rows
+    of the one above it cleared. The reductions are certificates only when
+    consecutive maps compose to zero."""
+    data = []
+    upper = None
+    for n in range(X.dim, -1, -1):
+        M = boundary_matrix(X, n)
+        m = boundary_rows(X, n)
+        snf = smith_normal_form(M, m) if upper is None else _cleared(M, m, upper)
+        data.append((M, snf))
+        upper = snf
+    return data[::-1]
 
 
 def reduced_homology(X: DeltaComplex, certify: bool = False) -> HomologyProfile:
     """Homology from ranks and invariant factors of adjacent boundary maps.
 
-    With certify=True every matrix's SNF certificates are checked and the
-    composition of consecutive boundary maps is verified to vanish.
+    With certify=True the composition of consecutive boundary maps is first
+    verified to vanish, which the clearing relies on, and then every
+    matrix's SNF certificate is checked.
     """
     data = chain_data(X)
     if certify:
+        for (low, _), (high, _) in zip(data, data[1:]):
+            if not all(_product_is(low, col, 0, {}) for col in high):
+                raise ArithmeticError("consecutive boundary maps do not compose to zero")
         for M, snf in data:
             snf.check(M)
-        columns = [_sparse_columns(M) for M, _ in data]
-        for low, high in zip(columns, columns[1:]):
-            if any(_combine(low, col) for col in high):
-                raise ArithmeticError("consecutive boundary maps do not compose to zero")
     groups = []
     for n in range(X.dim + 1):
         f_n = len(X.cells(n))
@@ -387,5 +467,10 @@ def reduced_homology(X: DeltaComplex, certify: bool = False) -> HomologyProfile:
     return HomologyProfile(tuple(groups))
 
 
-def matrix_to_csv(M: Matrix) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in M) + "\n"
+def matrix_to_csv(M: list[Column], m: int) -> str:
+    """The m-row matrix with sparse columns M as CSV rows."""
+    rows = [[0] * len(M) for _ in range(m)]
+    for j, col in enumerate(M):
+        for i, x in col.items():
+            rows[i][j] = x
+    return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"

@@ -413,12 +413,20 @@ class ReductionTrace:
 
 def _reversed(X: DeltaComplex) -> DeltaComplex:
     """The reversed word's complex from the word's own, same cell ids: deletion
-    position i of a d-cell becomes d - i, so labels and face tuples reverse."""
-    return DeltaComplex(
+    position i of a d-cell becomes d - i, so labels and face tuples reverse,
+    and so do the face indices of a coface table already built."""
+    Y = DeltaComplex(
         X.cells_by_dim,
         {c: fs[::-1] for c, fs in X.faces.items()},
         {c: u[::-1] for c, u in X.labels.items()},
     )
+    if X._coface_slots is not None:
+        dim_of = X.dim_of
+        Y._coface_slots = {
+            f: tuple(sorted([(c, dim_of[c] - i) for c, i in slots]))
+            for f, slots in X._coface_slots.items()
+        }
+    return Y
 
 
 def reduce_to_core(word: Word) -> ReductionTrace:

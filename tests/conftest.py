@@ -140,6 +140,19 @@ def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def columns_of(M: list[list[int]]) -> list[dict[int, int]]:
+    """The sparse columns {row: value} of a dense matrix."""
+    return [
+        {i: row[j] for i, row in enumerate(M) if row[j]}
+        for j in range(len(M[0]) if M else 0)
+    ]
+
+
+def dense_of(columns: list[dict[int, int]], m: int) -> list[list[int]]:
+    """The dense m-row matrix with the given sparse columns."""
+    return [[col.get(i, 0) for col in columns] for i in range(m)]
+
+
 def dense_view(columns: list[dict[int, int]]) -> list[list[int]]:
     """The square matrix whose t-th column has the entries {row: value} of
     columns[t]; an entry outside the square fails."""

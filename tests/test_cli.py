@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -6,6 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from wordcomplex.cli import main
+from wordcomplex.words import enumerate_canonical_words, format_word
 
 
 def run(capsys, *argv):
@@ -164,6 +166,22 @@ def test_export_formats(capsys):
 
     code, out, _ = run(capsys, "export", "aba", "--format", "csv")
     assert code == 0 and "# boundary matrix 1" in out
+
+
+def test_export_csv_pinned(capsys):
+    # sha256 of each word and its CSV export, over the 63 canonical words
+    # of length <= 5 over 3 letters, computed when the boundary matrices
+    # were still built dense
+    digest = hashlib.sha256()
+    words = list(enumerate_canonical_words(5, 3))
+    for word in words:
+        code, out, _ = run(capsys, "export", format_word(word), "--format", "csv")
+        assert code == 0
+        digest.update(f"{format_word(word)}\n{out}".encode())
+    assert len(words) == 63
+    assert digest.hexdigest() == (
+        "49e8b838ed800133bcabe912b3b232b1b3529fd1de499b98c9eee28477997dc1"
+    )
 
 
 def test_tables_command(capsys):

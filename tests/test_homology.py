@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcomplex import homology
-from wordcomplex.complexes import build, join
+from wordcomplex.complexes import DeltaComplex, build, join
 from wordcomplex.homology import (
     _dense_snf,
     boundary_matrix,
+    boundary_rows,
     chain_data,
     matrix_to_csv,
     reduced_homology,
@@ -16,7 +17,7 @@ from wordcomplex.homology import (
 )
 from wordcomplex.words import enumerate_canonical_words, parse_word, predict_homotopy
 
-from conftest import assert_unimodular, matmul, minors_gcd
+from conftest import assert_unimodular, columns_of, dense_of, matmul, minors_gcd
 
 
 def w(text):
@@ -27,13 +28,22 @@ def all_words(max_len):
     return enumerate_canonical_words(max_len, max_len)
 
 
+def reduce_dense(M):
+    """The reduction of a dense matrix, handed over as sparse columns."""
+    return smith_normal_form(columns_of(M), len(M))
+
+
 # -- boundary matrices ---------------------------------------------------------
 
 
 def test_boundary_matrix_examples():
-    assert boundary_matrix(build(w("aa")), 1) == [[0]]
-    assert boundary_matrix(build(w("aaa")), 2) == [[-1]]
-    assert boundary_matrix(build(w("aba")), 0) == [[1, 1]]
+    # sparse columns {row: value}; the two faces of aa cancel
+    assert boundary_matrix(build(w("aa")), 1) == [{}]
+    assert boundary_matrix(build(w("aaa")), 2) == [{0: -1}]
+    assert boundary_matrix(build(w("aba")), 0) == [{0: 1}, {0: 1}]
+    X = build(w("aba"))
+    assert boundary_matrix(X, 1) == [{}, {0: 1, 1: -1}, {0: -1, 1: 1}]
+    assert [boundary_rows(X, n) for n in range(3)] == [1, 2, 3]
     with pytest.raises(ValueError):
         boundary_matrix(build(w("aa")), 2)
 
@@ -41,7 +51,7 @@ def test_boundary_matrix_examples():
 def test_consecutive_boundaries_compose_to_zero():
     for word in all_words(6):
         X = build(word)
-        mats = [boundary_matrix(X, n) for n in range(X.dim + 1)]
+        mats = [dense_of(boundary_matrix(X, n), boundary_rows(X, n)) for n in range(X.dim + 1)]
         for M, N in zip(mats, mats[1:]):
             assert all(not any(row) for row in matmul(M, N)), word
 
@@ -50,17 +60,17 @@ def test_consecutive_boundaries_compose_to_zero():
 
 
 def test_snf_trivial_cases():
-    zero = smith_normal_form([[0, 0], [0, 0], [0, 0]])
+    zero = smith_normal_form([{}, {}], 3)
     assert zero.rank == 0 and zero.diagonal == ()
-    zero.check([[0, 0], [0, 0], [0, 0]])
+    zero.check([{}, {}])
     assert_unimodular(zero.U_inv)
     assert_unimodular(zero.V)
 
-    eye = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = reduce_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert eye.diagonal == (1, 1, 1)
 
-    empty_cols = smith_normal_form([[], []])
-    assert empty_cols.rank == 0
+    empty_cols = smith_normal_form([], 2)
+    assert empty_cols.rank == 0 and empty_cols.shape == (2, 0)
 
 
 def test_snf_known_matrix():
@@ -71,8 +81,8 @@ def test_snf_known_matrix():
         ([[2, 0], [0, 3]], [1, 6], (1, 6)),
     ]
     for M, divisors, diagonal in cases:
-        snf = smith_normal_form(M)
-        snf.check(M)
+        snf = reduce_dense(M)
+        snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
         assert [minors_gcd(M, k) for k in range(1, len(M) + 1)] == divisors
@@ -85,8 +95,8 @@ def test_snf_against_minor_gcd_oracle():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        snf = smith_normal_form(M)
-        snf.check(M)
+        snf = reduce_dense(M)
+        snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
         product = 1
@@ -106,8 +116,8 @@ def test_snf_against_sympy():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        snf = smith_normal_form(M)
-        snf.check(M)
+        snf = reduce_dense(M)
+        snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
         expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(M)) if d != 0)
@@ -125,15 +135,74 @@ def test_snf_certificates_on_real_boundary_matrices():
 
 def test_sparse_engine_agrees_with_the_dense_routine():
     # the dense minimal-pivot routine alone is the second route for every
-    # chain matrix of the canonical words of length <= 6 over 6 letters
+    # chain matrix of the canonical words of length <= 6 over 6 letters,
+    # reduced alone and top-down with clearing, each map on the columns its
+    # upper map's unit pivots leave
     checked = 0
     for word in all_words(6):
         X = build(word)
-        for n in range(X.dim + 1):
-            M = boundary_matrix(X, n)
-            assert _dense_snf(M).diagonal == smith_normal_form(M).diagonal, (word, n)
+        data = chain_data(X)
+        for n, (M, cleared) in enumerate(data):
+            m = boundary_rows(X, n)
+            dense = _dense_snf(dense_of(M, m)).diagonal
+            assert smith_normal_form(M, m).diagonal == dense == cleared.diagonal, (word, n)
             checked += 1
+        for (M, snf), (_, upper) in zip(data, data[1:]):
+            # the cleared columns are the upper map's unit boundary columns,
+            # placed right after the rank
+            units = len(upper.unit_rows)
+            assert snf.V[snf.rank : snf.rank + units] == upper.U_inv[:units], word
     assert checked == 1558
+
+
+def test_certificate_rejects_a_tampered_cleared_column():
+    X = build(w("abcab"))
+    data = chain_data(X)
+    tampered = 0
+    for (M, snf), (_, upper) in zip(data, data[1:]):
+        snf.check(M)
+        for t, p in enumerate(upper.unit_rows):
+            col = snf.V[snf.rank + t]
+            assert col == upper.U_inv[t]
+            if not M[p]:
+                continue  # a cell with zero boundary, as aa: no tamper shows
+            # drop the leading entry of one cleared column: what is left is
+            # no longer a boundary, and d_n does not kill it
+            x = col.pop(p)
+            with pytest.raises(ArithmeticError, match="M V = U_inv D"):
+                snf.check(M)
+            col[p] = x
+            tampered += 1
+        snf.check(M)
+    assert tampered
+
+
+def rp2():
+    """The Delta-complex of RP^2 with two vertices v, w, three edges a, b
+    (w to v) and c (a loop at w), and two triangles U = [w, w, v] with faces
+    (a, b, c) and L = [w, w, v] with faces (b, a, c): a square with its
+    opposite sides glued antipodally, cut along a diagonal."""
+    v, w_, a, b, c, U, L = range(7)
+    faces = {v: (), w_: (), a: (v, w_), b: (v, w_), c: (w_, w_), U: (a, b, c), L: (b, a, c)}
+    labels = dict(zip(range(7), "vwabcUL"))
+    return DeltaComplex([[v, w_], [a, b, c], [U, L]], faces, labels, name="RP2")
+
+
+def test_torsion_through_the_whole_chain():
+    X = rp2()
+    X.validate()
+    assert X.f_vector() == (2, 3, 2)
+    profile = reduced_homology(X, certify=True)
+    assert profile.groups == ((0, ()), (0, (2,)), (0, ()))
+    data = chain_data(X)
+    # d_2 leaves the non-unit block [[2]], which the dense routine finishes
+    assert [snf.diagonal for _, snf in data] == [(1,), (1,), (1, 2)]
+    assert len(data[2][1].unit_rows) == 1
+    for n, (M, snf) in enumerate(data):
+        snf.check(M)
+        assert_unimodular(snf.U_inv)
+        assert_unimodular(snf.V)
+        assert snf.diagonal == _dense_snf(dense_of(M, boundary_rows(X, n))).diagonal
 
 
 def test_snf_of_a_mixed_matrix_folds_the_residual():
@@ -150,9 +219,9 @@ def test_snf_of_a_mixed_matrix_folds_the_residual():
         [-6, 0, 6, 0, 12, 0],
         [10, -4, 4, 0, 16, 0],
     ]
-    snf = smith_normal_form(M)
+    snf = reduce_dense(M)
     assert snf.diagonal == (1, 1, 2, 2, 156)
-    snf.check(M)
+    snf.check(columns_of(M))
     assert_unimodular(snf.U_inv)
     assert_unimodular(snf.V)
     product = 1
@@ -163,20 +232,21 @@ def test_snf_of_a_mixed_matrix_folds_the_residual():
 
 
 def test_snf_certificate_rejects_tampering():
-    M = boundary_matrix(build(w("abcab")), 2)
-    snf = smith_normal_form(M)
+    X = build(w("abcab"))
+    M, m = boundary_matrix(X, 2), boundary_rows(X, 2)
+    snf = smith_normal_form(M, m)
     snf.check(M)
     assert 0 < snf.rank < len(snf.V)
 
-    tampered = smith_normal_form(M)
+    tampered = smith_normal_form(M, m)
     col = tampered.V[0]  # inside the rank
     j = next(iter(col))
-    assert any(row[j] for row in M)
+    assert M[j]
     col[j] *= 2
     with pytest.raises(ArithmeticError, match="M V = U_inv D"):
         tampered.check(M)
 
-    tampered = smith_normal_form(M)
+    tampered = smith_normal_form(M, m)
     col = tampered.U_inv[0]
     col[next(iter(col))] *= 2
     with pytest.raises(ArithmeticError, match="M V = U_inv D"):
@@ -184,7 +254,7 @@ def test_snf_certificate_rejects_tampering():
 
     # a doubled kernel column still satisfies M V = U_inv D, and only the
     # determinant sees it
-    tampered = smith_normal_form(M)
+    tampered = smith_normal_form(M, m)
     t = tampered.rank
     tampered.V[t] = {j: 2 * x for j, x in tampered.V[t].items()}
     tampered.check(M)
@@ -192,7 +262,7 @@ def test_snf_certificate_rejects_tampering():
         assert_unimodular(tampered.V)
 
     # a kernel column moved off the kernel
-    tampered = smith_normal_form(M)
+    tampered = smith_normal_form(M, m)
     tampered.V[t][j] = tampered.V[t].get(j, 0) + 1
     with pytest.raises(ArithmeticError, match="M V = U_inv D"):
         tampered.check(M)
@@ -205,9 +275,11 @@ def test_certify_rejects_boundaries_that_do_not_compose(monkeypatch):
 
     def flipped(X, n):
         M = exact(X, n)
-        if n == 2:  # one sign of d_2 flipped; each matrix keeps its own SNF
-            j = next(j for j, x in enumerate(M[0]) if x)
-            M[0][j] = -M[0][j]
+        if n == 2:  # one sign of d_2 flipped, at row 0 of its first column
+            # there; d_2 alone still reduces, and the clearing of d_1 that
+            # relies on d_1 d_2 = 0 must not be certified first
+            j = next(j for j, col in enumerate(M) if 0 in col)
+            M[j][0] = -M[j][0]
         return M
 
     monkeypatch.setattr(homology, "boundary_matrix", flipped)
@@ -267,4 +339,4 @@ def test_profile_accessors():
 
 
 def test_matrix_csv():
-    assert matrix_to_csv([[1, -2], [0, 3]]) == "1,-2\n0,3\n"
+    assert matrix_to_csv([{0: 1}, {0: -2, 1: 3}], 2) == "1,-2\n0,3\n"

@@ -443,6 +443,45 @@ def test_reduce_to_core_traces_pinned():
     )
 
 
+def test_reduce_to_core_carries_the_coface_table(monkeypatch):
+    # every complex a reduction step makes carries its parent's coface
+    # table, filtered by without or re-indexed by _reversed, and it must
+    # equal the table of the same complex built from scratch
+    made = []
+    arrived = []
+
+    def spy(fn):
+        def wrapper(*args):
+            Y = fn(*args)
+            made.append(Y)
+            return Y
+
+        return wrapper
+
+    def validate(X, pairs):
+        arrived.append(X._coface_slots is not None)
+        return exact_validate(X, pairs)
+
+    exact_validate = morse.validate_collapsing_order
+    monkeypatch.setattr(DeltaComplex, "without", spy(DeltaComplex.without))
+    monkeypatch.setattr(morse, "_reversed", spy(morse._reversed))
+    monkeypatch.setattr(morse, "validate_collapsing_order", validate)
+    carried = 0
+    for word in enumerate_canonical_words(7, 4):
+        made.clear()
+        arrived.clear()
+        reduce_to_core(word)
+        for Y in made:
+            if Y._coface_slots is None:
+                continue  # made before any table was built
+            fresh = DeltaComplex(Y.cells_by_dim, Y.faces, Y.labels)
+            assert Y._coface_slots == fresh.coface_slots(), word
+            carried += 1
+        # only the first complex checked builds its table from the faces
+        assert all(arrived[1:]), word
+    assert carried > 5000
+
+
 # -- alternating words ----------------------------------------------------------------
 
 
