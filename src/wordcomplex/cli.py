@@ -138,8 +138,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_homology(args) -> int:
     word = _parse_word_arg(args.word, args.force)
-    X = complexes.build(word)
-    profile = homology.reduced_homology(X, certify=True)
+    profile = homology.reduced_homology(complexes.build(word))
     payload = {
         "word": words.format_word(word),
         "groups": profile.to_json(),
@@ -211,7 +210,7 @@ def cmd_collapse(args) -> int:
             target = run.core and words.format_word(run.core)
             print(f"terminal: {target or 'point'}")
         return 0
-    trace = morse.reduce_to_core(word)
+    trace = morse.reduce_to_core(complexes.build(word))
     payload = {
         "word": words.format_word(word),
         "mode": "reduction",

@@ -162,6 +162,22 @@ class DeltaComplex:
             sub._coface_slots = slots
         return sub
 
+    def reversed(self) -> "DeltaComplex":
+        """The reversed word's complex from a word's, same cell ids: deletion
+        position i of a d-cell becomes d - i, so labels and face tuples
+        reverse, and so do the face indices of a coface table already built."""
+        Y = DeltaComplex(
+            self.cells_by_dim,
+            {c: fs[::-1] for c, fs in self.faces.items()},
+            {c: u[::-1] for c, u in self.labels.items()},
+        )
+        if self._coface_slots is not None:
+            Y._coface_slots = {
+                f: tuple(sorted([(c, self.dim_of[c] - i) for c, i in slots]))
+                for f, slots in self._coface_slots.items()
+            }
+        return Y
+
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""
         return f"<DeltaComplex{tag} f={self.f_vector()}>"

@@ -28,11 +28,11 @@ on its other columns alone and the cleared columns join its kernel.
 
 The inverse of the row transform and the column transform are kept as
 sparse columns, giving one certificate identity, M V = U_inv D, checked
-column by column by a sparse product, like the vanishing of consecutive
-boundary maps: cheap enough for every matrix a sweep produces. Both
-transforms are products of swaps, negations and integer additions of one
-line to another, so they are unimodular by construction; the tests prove
-it again by determinant.
+column by column by a sparse product after the vanishing of consecutive
+boundary maps, on every reduction that reduced_homology or a sweep reads.
+Both transforms are products of swaps, negations and integer additions of
+one line to another, so they are unimodular by construction; the tests
+prove it again by determinant.
 
 Reduced homology is realized by an augmentation row of ones at dimension
 zero rather than by special-casing connectivity.
@@ -142,11 +142,10 @@ class SmithNormalForm:
         M given by its sparse columns: M times column t of V must be d_t
         times column t of U_inv within the rank, and zero past it. Raises on
         any failure."""
-        for a, b in zip(self.diagonal, self.diagonal[1:]):
-            if a <= 0 or b % a:
-                raise ArithmeticError("invariant factors fail the divisor chain")
-        if self.diagonal and self.diagonal[0] <= 0:
+        if any(d <= 0 for d in self.diagonal):
             raise ArithmeticError("invariant factors must be positive")
+        if any(b % a for a, b in zip(self.diagonal, self.diagonal[1:])):
+            raise ArithmeticError("invariant factors fail the divisor chain")
         m, n = self.shape
         if not (
             len(M) == len(self.V) == n
@@ -439,32 +438,32 @@ def chain_data(X: DeltaComplex) -> list[tuple[list[Column], SmithNormalForm]]:
     return data[::-1]
 
 
-def reduced_homology(X: DeltaComplex, certify: bool = False) -> HomologyProfile:
-    """Homology from ranks and invariant factors of adjacent boundary maps.
+def check_composition(data: list[tuple[list[Column], SmithNormalForm]]) -> None:
+    """Raise unless consecutive maps of chain_data compose to zero."""
+    for (low, _), (high, _) in zip(data, data[1:]):
+        if not all(_product_is(low, col, 0, {}) for col in high):
+            raise ArithmeticError("consecutive boundary maps do not compose to zero")
 
-    With certify=True the composition of consecutive boundary maps is first
-    verified to vanish, which the clearing relies on, and then every
-    matrix's SNF certificate is checked.
-    """
-    data = chain_data(X)
-    if certify:
-        for (low, _), (high, _) in zip(data, data[1:]):
-            if not all(_product_is(low, col, 0, {}) for col in high):
-                raise ArithmeticError("consecutive boundary maps do not compose to zero")
-        for M, snf in data:
-            snf.check(M)
+
+def profile_of(data: list[tuple[list[Column], SmithNormalForm]]) -> HomologyProfile:
+    """Homology of chain_data: f_n, the column count of d_n, less the ranks
+    of d_n and d_{n+1}, with the invariant factors of d_{n+1} above one."""
     groups = []
-    for n in range(X.dim + 1):
-        f_n = len(X.cells(n))
-        rank_n = data[n][1].rank
-        if n < X.dim:
-            nxt = data[n + 1][1]
-            rank_up = nxt.rank
-            torsion = tuple(d for d in nxt.diagonal if d > 1)
-        else:
-            rank_up, torsion = 0, ()
-        groups.append((f_n - rank_n - rank_up, torsion))
+    for n, (M, snf) in enumerate(data):
+        up = data[n + 1][1].diagonal if n + 1 < len(data) else ()
+        groups.append((len(M) - snf.rank - len(up), tuple(d for d in up if d > 1)))
     return HomologyProfile(tuple(groups))
+
+
+def reduced_homology(X: DeltaComplex) -> HomologyProfile:
+    """Certified homology: chain_data, verified by check_composition, which
+    the clearing relies on, and then by every certificate, read by
+    profile_of. Raises ArithmeticError on a failed check."""
+    data = chain_data(X)
+    check_composition(data)
+    for M, snf in data:
+        snf.check(M)
+    return profile_of(data)
 
 
 def matrix_to_csv(M: list[Column], m: int) -> str:

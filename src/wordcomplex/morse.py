@@ -18,8 +18,8 @@ uses run p in full, read outward from p in both directions, and the same
 flip capped at the odd run matches them among themselves. Iterating, with
 a reversal when only the last run is odd, drives every word to its
 fundamental subword or to a single letter. Deletion only loses subwords
-and reversal only relabels, so the reduction builds the word's complex
-once and drops or relabels cells at each step; that the cells left are the
+and reversal only relabels, so the reduction takes the word's built complex
+and drops or relabels cells at each step; that the cells left are the
 subwords of the shorter word is checked there, independently of the tuples.
 """
 
@@ -411,39 +411,22 @@ class ReductionTrace:
         }
 
 
-def _reversed(X: DeltaComplex) -> DeltaComplex:
-    """The reversed word's complex from the word's own, same cell ids: deletion
-    position i of a d-cell becomes d - i, so labels and face tuples reverse,
-    and so do the face indices of a coface table already built."""
-    Y = DeltaComplex(
-        X.cells_by_dim,
-        {c: fs[::-1] for c, fs in X.faces.items()},
-        {c: u[::-1] for c, u in X.labels.items()},
-    )
-    if X._coface_slots is not None:
-        dim_of = X.dim_of
-        Y._coface_slots = {
-            f: tuple(sorted([(c, dim_of[c] - i) for c, i in slots]))
-            for f, slots in X._coface_slots.items()
-        }
-    return Y
-
-
-def reduce_to_core(word: Word) -> ReductionTrace:
-    """Iterate letter deletions, reversing the word when only the last run
-    is odd; a single odd run contracts through its perfect matching.
+def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
+    """Iterate letter deletions on a word's built complex, the word read from
+    its one top cell, reversing when only the last run is odd; a single odd
+    run contracts through its perfect matching.
 
     The terminal word is the fundamental subword of a spherical input
     (every terminal exponent even) or a single letter otherwise. Each step
     is checked on the current complex: its matching as a collapsing order,
     and the cells left without the matched ones as the subwords of the next
-    word.
+    word, which a complex that is not the word's fails.
     """
-    if not word:
-        raise ValueError("cannot reduce the empty word")
+    top = X.cells(X.dim)
+    if len(top) != 1:
+        raise ValueError("a word's complex has exactly one top cell")
+    word = current = X.labels[top[0]]
     steps: list[ReductionStep] = []
-    current = word
-    X = build(word)
     while True:
         alpha = reduced_form(current).exponents
         odd = _first_odd(alpha)
@@ -455,7 +438,7 @@ def reduce_to_core(word: Word) -> ReductionTrace:
         elif len(alpha) > 1:
             flipped = current[::-1]
             steps.append(ReductionStep("flip", current, flipped, None, None))
-            current, X = flipped, _reversed(X)
+            current, X = flipped, X.reversed()
             continue
         elif alpha[0] == 1:
             break  # single letter

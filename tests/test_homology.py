@@ -192,7 +192,7 @@ def test_torsion_through_the_whole_chain():
     X = rp2()
     X.validate()
     assert X.f_vector() == (2, 3, 2)
-    profile = reduced_homology(X, certify=True)
+    profile = reduced_homology(X)
     assert profile.groups == ((0, ()), (0, (2,)), (0, ()))
     data = chain_data(X)
     # d_2 leaves the non-unit block [[2]], which the dense routine finishes
@@ -267,10 +267,23 @@ def test_snf_certificate_rejects_tampering():
     with pytest.raises(ArithmeticError, match="M V = U_inv D"):
         tampered.check(M)
 
+    # a last invariant factor that is not positive: a zero inflates the
+    # rank, and a negative one holds once its U_inv column is negated
+    tampered = reduce_dense([[1, 0], [0, 0]])
+    tampered.diagonal = (1, 0)
+    with pytest.raises(ArithmeticError, match="positive"):
+        tampered.check(columns_of([[1, 0], [0, 0]]))
+    tampered = reduce_dense([[2, 0], [0, 2]])
+    assert tampered.diagonal == (2, 2)
+    tampered.diagonal = (2, -2)
+    tampered.U_inv[1] = {i: -x for i, x in tampered.U_inv[1].items()}
+    with pytest.raises(ArithmeticError, match="positive"):
+        tampered.check(columns_of([[2, 0], [0, 2]]))
+
 
 def test_certify_rejects_boundaries_that_do_not_compose(monkeypatch):
     X = build(w("abcab"))
-    assert reduced_homology(X, certify=True).is_trivial()
+    assert reduced_homology(X).is_trivial()
     exact = homology.boundary_matrix
 
     def flipped(X, n):
@@ -284,7 +297,7 @@ def test_certify_rejects_boundaries_that_do_not_compose(monkeypatch):
 
     monkeypatch.setattr(homology, "boundary_matrix", flipped)
     with pytest.raises(ArithmeticError, match="compose to zero"):
-        reduced_homology(X, certify=True)
+        reduced_homology(X)
 
 
 # -- homology -----------------------------------------------------------------
@@ -307,14 +320,14 @@ def test_homology_of_disjoint_support_join():
 
 def test_homology_certified_and_torsion_free_small():
     for word in all_words(6):
-        profile = reduced_homology(build(word), certify=True)
+        profile = reduced_homology(build(word))
         assert not profile.has_torsion(), word
 
 
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 3), min_size=9, max_size=12).map(tuple))
 def test_homotopy_match_on_longer_words(word):
-    profile = reduced_homology(build(word), certify=True)
+    profile = reduced_homology(build(word))
     predicted = predict_homotopy(word)
     if predicted.kind == "contractible":
         assert profile.is_trivial(), word

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcomplex import morse
+from wordcomplex import complexes, morse
 from wordcomplex.complexes import DeltaComplex, build, elementary_collapse
 from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
@@ -356,7 +356,7 @@ def test_reduction_on_longer_words(word):
         pass
     else:
         assert matched_cells(matching) == lost_subwords(word, new)
-    trace = reduce_to_core(word)
+    trace = reduce_to_core(build(word))
     if classify(word).is_spherical:
         assert trace.terminal == fundamental_subword(word)
     else:
@@ -364,35 +364,35 @@ def test_reduction_on_longer_words(word):
 
 
 def test_reduce_to_core_spherical():
-    trace = reduce_to_core(w("ababab"))
+    trace = reduce_to_core(build(w("ababab")))
     assert trace.terminal == w("aabb") == fundamental_subword(w("ababab"))
     assert [s.kind for s in trace.steps] == ["delete", "delete"]
 
 
 def test_reduce_to_core_stuck_core():
-    trace = reduce_to_core(w("aaa"))
+    trace = reduce_to_core(build(w("aaa")))
     assert trace.terminal == w("a")
     assert [s.kind for s in trace.steps] == ["contract"]
 
-    trace = reduce_to_core(w("abaa"))
+    trace = reduce_to_core(build(w("abaa")))
     assert trace.terminal == w("a")
     assert [s.kind for s in trace.steps] == ["delete", "contract"]
 
 
 def test_reduce_to_core_uses_flips():
-    trace = reduce_to_core(w("aab"))
+    trace = reduce_to_core(build(w("aab")))
     assert len(trace.terminal) == 1
     assert any(s.kind == "flip" for s in trace.steps)
 
 
 def test_reduce_to_core_already_terminal():
-    assert reduce_to_core(w("aabb")).steps == ()
-    assert reduce_to_core(w("a")).steps == ()
+    assert reduce_to_core(build(w("aabb"))).steps == ()
+    assert reduce_to_core(build(w("a"))).steps == ()
 
 
 def test_reduce_to_core_terminal_law():
     for word in enumerate_canonical_words(7, 7):
-        trace = reduce_to_core(word)
+        trace = reduce_to_core(build(word))
         if classify(word).is_spherical:
             assert trace.terminal == fundamental_subword(word), word
         else:
@@ -404,18 +404,34 @@ def test_reduce_to_core_terminal_law():
                 assert step.after == step.before[::-1]
 
 
-def test_reduce_to_core_builds_once(monkeypatch):
+def test_reduce_to_core_builds_nothing(monkeypatch):
     calls = []
 
     def counting_build(word):
         calls.append(word)
         return build(word)
 
-    monkeypatch.setattr(morse, "build", counting_build)
-    for word in enumerate_canonical_words(6, 4):
-        calls.clear()
-        reduce_to_core(word)
-        assert calls == [word], word
+    built = [build(word) for word in enumerate_canonical_words(6, 4)]
+    for module in (morse, complexes):
+        monkeypatch.setattr(module, "build", counting_build)
+    for X in built:
+        reduce_to_core(X)
+    assert calls == []
+
+
+def test_reduce_to_core_rejects_a_complex_not_the_words():
+    X = build(w("abab"))
+    with pytest.raises(ValueError, match="one top cell"):
+        reduce_to_core(X.without(X.cells(3)))  # four top cells
+    # the word's complex with a stray vertex: the first step leaves it over
+    stray = max(X.dim_of) + 1
+    Y = DeltaComplex(
+        [X.cells(0) + [stray]] + X.cells_by_dim[1:],
+        {**X.faces, stray: ()},
+        {**X.labels, stray: w("c")},
+    )
+    with pytest.raises(RuntimeError, match="do not leave"):
+        reduce_to_core(Y)
 
 
 def test_flip_relabelling_is_the_reversed_complex():
@@ -426,7 +442,7 @@ def test_flip_relabelling_is_the_reversed_complex():
         }
 
     for word in enumerate_canonical_words(7, 4):
-        flipped = morse._reversed(build(word))
+        flipped = build(word).reversed()
         flipped.validate()
         assert face_labels(flipped) == face_labels(build(word[::-1])), word
 
@@ -436,7 +452,7 @@ def test_reduce_to_core_traces_pinned():
     # that rebuilt the complex at every step produced them
     digest = hashlib.sha256()
     for word in enumerate_canonical_words(7, 4):
-        trace = json.dumps(reduce_to_core(word).to_json(), sort_keys=True)
+        trace = json.dumps(reduce_to_core(build(word)).to_json(), sort_keys=True)
         digest.update(trace.encode() + b"\n")
     assert digest.hexdigest() == (
         "b38ab0ecfc075880bacb7eef4fde156113f099819bae5b6e53b552f8e6b1a955"
@@ -445,7 +461,7 @@ def test_reduce_to_core_traces_pinned():
 
 def test_reduce_to_core_carries_the_coface_table(monkeypatch):
     # every complex a reduction step makes carries its parent's coface
-    # table, filtered by without or re-indexed by _reversed, and it must
+    # table, filtered by without or re-indexed by reversed, and it must
     # equal the table of the same complex built from scratch
     made = []
     arrived = []
@@ -464,13 +480,13 @@ def test_reduce_to_core_carries_the_coface_table(monkeypatch):
 
     exact_validate = morse.validate_collapsing_order
     monkeypatch.setattr(DeltaComplex, "without", spy(DeltaComplex.without))
-    monkeypatch.setattr(morse, "_reversed", spy(morse._reversed))
+    monkeypatch.setattr(DeltaComplex, "reversed", spy(DeltaComplex.reversed))
     monkeypatch.setattr(morse, "validate_collapsing_order", validate)
     carried = 0
     for word in enumerate_canonical_words(7, 4):
         made.clear()
         arrived.clear()
-        reduce_to_core(word)
+        reduce_to_core(build(word))
         for Y in made:
             if Y._coface_slots is None:
                 continue  # made before any table was built
@@ -570,7 +586,7 @@ def test_alternating_collapse_step_rules_tagged():
 
 
 def test_trace_json_round_trip():
-    trace = reduce_to_core(w("abaa"))
+    trace = reduce_to_core(build(w("abaa")))
     data = trace.to_json()
     assert data["terminal"] == "a"
     assert data["steps"][0]["kind"] == "delete"

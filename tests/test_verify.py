@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wordcomplex import morse, verify
+from wordcomplex import complexes, homology, morse, verify
 from wordcomplex.verify import check_tables, examine_word, sweep
 from wordcomplex.words import parse_word
 
@@ -62,6 +62,52 @@ def test_sweep_csv_shape():
 def test_examine_word_failure_is_data_not_exception():
     row = examine_word(parse_word("abab"))
     assert row.checks["homotopy_match"] == "pass"
+
+
+def test_each_chain_verdict_reads_its_own_check(monkeypatch):
+    def refuse(snf, M):
+        raise ArithmeticError("certificate M V = U_inv D fails")
+
+    monkeypatch.setattr(homology.SmithNormalForm, "check", refuse)
+    row = examine_word(parse_word("abab"))
+    assert row.checks["boundary_squares_to_zero"] == "pass"
+    assert row.checks["snf_certificates"] == "fail"
+    assert row.checks["homotopy_match"] == "pass"
+
+
+def test_boundaries_that_do_not_compose_fail_both_verdicts(monkeypatch):
+    exact = homology.boundary_matrix
+
+    def flipped(X, n):
+        M = exact(X, n)
+        if n == 2:  # one sign of d_2 flipped, at row 0 of its first column there
+            j = next(j for j, col in enumerate(M) if 0 in col)
+            M[j][0] = -M[j][0]
+        return M
+
+    monkeypatch.setattr(homology, "boundary_matrix", flipped)
+    row = examine_word(parse_word("abcab"))
+    assert row.checks["boundary_squares_to_zero"] == "fail"
+    assert row.checks["snf_certificates"] == "fail"
+    assert any("compose to zero" in note for note in row.notes)
+    # the profile is still read from the one reduction
+    assert len(row.homology) == len(row.f_vector)
+
+
+def test_sweep_builds_each_word_once(monkeypatch):
+    calls = []
+    exact = complexes.build
+
+    def counting_build(word):
+        calls.append(word)
+        return exact(word)
+
+    for module in (verify, morse, complexes):
+        if hasattr(module, "build"):
+            monkeypatch.setattr(module, "build", counting_build)
+    report = sweep(6, 4)
+    assert report.ok
+    assert len(calls) == len(report.rows)
 
 
 def test_failing_reduction_step_is_reported(monkeypatch):
