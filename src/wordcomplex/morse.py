@@ -18,13 +18,19 @@ uses run p in full, read outward from p in both directions, and the same
 flip capped at the odd run matches them among themselves. Iterating, with
 a reversal when only the last run is odd, drives every word to its
 fundamental subword or to a single letter. Deletion only loses subwords
-and reversal only relabels, so the reduction takes the word's built complex
-and drops or relabels cells at each step; that the cells left are the
-subwords of the shorter word is checked there, independently of the tuples.
+and reversal only relabels, so the reduction keeps the word's built complex
+for the whole run and a set of collapsed cells beside it: a step validates
+its matching as a collapsing order with the collapsed cells counted as
+removed, then adds the matched cells to the set, and a flip relabels the
+live cells and empties it. A valid order keeps the collapsed set closed
+upwards, so the live cells stay closed under faces. The labels of the live
+cells are checked against the subwords of the word once before the first
+step and of the shorter word after every step, independently of the tuples.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from operator import gt
 from typing import Optional
@@ -121,18 +127,22 @@ def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
 
 def _outward(
     runs: tuple[tuple[int, int], ...], near: Optional[int]
-) -> list[ExpPresentation]:
+) -> list[tuple[ExpPresentation, Word]]:
     """Exponent tuples over runs listed outward from an anchor: a run may use
     fewer than all its letters only when the nearest used run between it and
-    the anchor (letter near, None while no run is used) has another letter."""
-    partial = [((), near)]
+    the anchor (letter near, None while no run is used) has another letter.
+
+    Each tuple comes with its letters, spelled in the order the runs are
+    listed and grown with the tuple, so no tuple is expanded afterwards."""
+    partial = [((), (), near)]
     for a, e in runs:
+        blocks = [(a,) * b for b in range(e + 1)]
         partial = [
-            (beta + (b,), a if b else last)
-            for beta, last in partial
+            (beta + (b,), letters + blocks[b], a if b else last)
+            for beta, letters, last in partial
             for b in (range(e + 1) if a != last else (e,))
         ]
-    return [beta for beta, _ in partial]
+    return [(beta, letters) for beta, letters, _ in partial]
 
 
 def _flip_matching(
@@ -197,10 +207,10 @@ def full_matching(word: Word) -> Matching:
     alpha = rf.exponents
     if any(e % 2 for e in alpha[:-1]):
         raise ValueError("all run exponents before the last must be even")
-    named = {}
-    for reading in _outward(rf.runs[::-1], None):
-        beta = reading[::-1]
-        named[rf.expand_presentation(beta)] = beta
+    named = {
+        letters[::-1]: reading[::-1]
+        for reading, letters in _outward(rf.runs[::-1], None)
+    }
     critical = (word,) if alpha[-1] % 2 == 0 else ()
     return _flip_matching(word, rf, len(rf), named, critical)
 
@@ -287,7 +297,9 @@ class CollapsingOrderReport:
 
 
 def validate_collapsing_order(
-    X: DeltaComplex, pairs: tuple[tuple[Word, Word], ...]
+    X: DeltaComplex,
+    pairs: tuple[tuple[Word, Word], ...],
+    collapsed: Set[int] = frozenset(),
 ) -> CollapsingOrderReport:
     """Check the three collapsing-order conditions pair by pair: adjacent
     dimensions, incidence +-1, and everything above sigma already removed.
@@ -295,41 +307,48 @@ def validate_collapsing_order(
     The empty tuple is accepted as a sigma and treated as the augmentation
     cell: it sits below every cell with incidence one against each vertex.
 
+    The ids in collapsed count as removed before the first pair, so the
+    order is checked on X less those cells, as on X.without(collapsed),
+    with the coface table of X; a pair naming one of them, like a pair
+    naming a cell outside X, raises.
+
     Only direct cofaces are inspected: those of sigma, and of tau when tau
     covers sigma. While every earlier pair has passed, the removed cells
     are closed upwards, so this decides the same as a search of sigma's
     whole up-set, up to and including the first failing pair.
     """
+    ids = X.id_of_label
     for s, t in pairs:
-        if (s != EMPTY and s not in X.id_of_label) or t not in X.id_of_label:
-            raise ValueError(f"pair ({s}, {t}) names cells outside the complex")
+        named = [ids.get(u) for u in ((t,) if s == EMPTY else (s, t))]
+        if None in named or not collapsed.isdisjoint(named):
+            raise ValueError(f"pair ({s}, {t}) names cells outside the live complex")
     slots = X.coface_slots()
-    removed_ids: set[int] = set()
+    removed_ids: set[int] = set(collapsed)
     checks = []
     valid = True
     for s, t in pairs:
-        tid = X.id_of_label[t]
+        tid = ids[t]
         if s == EMPTY:
             dims_ok = X.dim_of[tid] == 0
             inc = 1 if dims_ok else 0
         else:
-            sid = X.id_of_label[s]
+            sid = ids[s]
             dims_ok = X.dim_of[sid] == X.dim_of[tid] - 1
             inc = incidence(X, sid, tid) if dims_ok else 0
         incidence_ok = abs(inc) == 1
 
         if s == EMPTY:
-            up_ok = all(c in removed_ids or c == tid for c in X.dim_of)
+            up_ok = X.dim_of.keys() - removed_ids <= {tid}
         else:
-            covers = {c for c, _ in slots[X.id_of_label[s]]}
-            up_ok = all(c in removed_ids or c == tid for c in covers) and (
-                tid not in covers or all(c in removed_ids for c, _ in slots[tid])
+            covers = {c for c, _ in slots[sid]}
+            up_ok = covers - removed_ids <= {tid} and (
+                tid not in covers or removed_ids.issuperset(c for c, _ in slots[tid])
             )
 
         checks.append(PairCheck(s, t, dims_ok, inc, incidence_ok, up_ok))
         valid = valid and checks[-1].ok
         if s != EMPTY:
-            removed_ids.add(X.id_of_label[s])
+            removed_ids.add(sid)
         removed_ids.add(tid)
     return CollapsingOrderReport(tuple(checks), valid)
 
@@ -372,10 +391,11 @@ def reduce_step(word: Word) -> tuple[Word, Matching]:
 
     tails = _outward(rf.runs[k + 1 :], letter)
     named = {}
-    for head in _outward(rf.runs[k - 1 :: -1], letter):
-        for tail in tails:
-            beta = head[::-1] + (e,) + tail
-            named[rf.expand_presentation(beta)] = beta
+    for head, head_letters in _outward(rf.runs[k - 1 :: -1], letter):
+        front = head[::-1] + (e,)
+        left = head_letters[::-1] + (letter,) * e
+        for tail, tail_letters in tails:
+            named[left + tail_letters] = front + tail
     return new_word, _flip_matching(word, rf, k, named, ())
 
 
@@ -417,15 +437,32 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     run contracts through its perfect matching.
 
     The terminal word is the fundamental subword of a spherical input
-    (every terminal exponent even) or a single letter otherwise. Each step
-    is checked on the current complex: its matching as a collapsing order,
-    and the cells left without the matched ones as the subwords of the next
-    word, which a complex that is not the word's fails.
+    (every terminal exponent even) or a single letter otherwise.
+
+    The reduction keeps X and a set of collapsed cell ids, and makes no
+    subcomplex per step. Each step validates its matching as a collapsing
+    order on X with the collapsed cells counted as removed, then adds the
+    matched cells to the set. A valid order removes sigma only once its
+    cofaces other than tau are gone, and tau only once its cofaces are,
+    so the collapsed set stays closed upwards and the live cells stay
+    closed under faces: they form the subcomplex X.without(collapsed)
+    would make. A flip relabels that subcomplex by reversal and empties
+    the set.
+
+    The live labels are compared with the subwords of the word once before
+    the first step, and with those of the shorter word after every step.
+    So a complex that is not the word's fails even when no step is taken,
+    and each step's survivors are checked by a second route that shares
+    nothing with the matching's tuples.
     """
     top = X.cells(X.dim)
     if len(top) != 1:
         raise ValueError("a word's complex has exactly one top cell")
     word = current = X.labels[top[0]]
+    live = set(X.id_of_label)
+    if live != distinct_subwords(word):
+        raise RuntimeError(f"the cells of the complex are not the subwords of {word}")
+    collapsed: set[int] = set()
     steps: list[ReductionStep] = []
     while True:
         alpha = reduced_form(current).exponents
@@ -438,7 +475,8 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
         elif len(alpha) > 1:
             flipped = current[::-1]
             steps.append(ReductionStep("flip", current, flipped, None, None))
-            current, X = flipped, X.reversed()
+            X = X.without(collapsed).reversed()
+            current, live, collapsed = flipped, set(X.id_of_label), set()
             continue
         elif alpha[0] == 1:
             break  # single letter
@@ -449,12 +487,14 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             after = current[:1]
             step = ReductionStep("contract", current, after, None, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
-        report = validate_collapsing_order(X, pairs)
+        report = validate_collapsing_order(X, pairs, collapsed)
         if not report.valid:
             bad = [c for c in report.checks if not c.ok]
             raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
-        X = X.without(X.id_of_label[u] for pair in pairs for u in pair)
-        if set(X.id_of_label) != distinct_subwords(after):
+        matched = {u for pair in pairs for u in pair}
+        collapsed.update(X.id_of_label[u] for u in matched)
+        live -= matched
+        if live != distinct_subwords(after):
             raise RuntimeError(f"removed cells of {current} do not leave {after}")
         steps.append(step)
         current = after

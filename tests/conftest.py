@@ -12,8 +12,9 @@ from math import gcd
 
 from hypothesis import settings
 
+from wordcomplex import morse
 from wordcomplex.complexes import elementary_collapse, free_pairs
-from wordcomplex.words import Word
+from wordcomplex.words import Word, distinct_subwords, reduced_form
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -225,3 +226,39 @@ def upward_closed_by_search(X, pairs) -> list[bool]:
             removed.add(sid)
         removed.add(tid)
     return flags
+
+
+def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
+    """The reduction that makes a new complex at every step: X.without after
+    a delete or contract step, X.reversed after a flip, each order checked
+    on the complex in hand with nothing counted as collapsed."""
+    word = current = X.labels[X.cells(X.dim)[0]]
+    steps = []
+    while True:
+        alpha = reduced_form(current).exponents
+        odd = morse._first_odd(alpha)
+        if odd is None:
+            break
+        if odd < len(alpha) - 1:
+            after, matching = morse.reduce_step(current)
+            step = morse.ReductionStep("delete", current, after, matching.t, matching)
+        elif len(alpha) > 1:
+            flipped = current[::-1]
+            steps.append(morse.ReductionStep("flip", current, flipped, None, None))
+            current, X = flipped, X.reversed()
+            continue
+        elif alpha[0] == 1:
+            break
+        else:
+            matching = morse.full_matching(current)
+            after = current[:1]
+            step = morse.ReductionStep("contract", current, after, None, matching)
+        pairs = tuple(p for p in matching.pairs if p[0] != morse.EMPTY)
+        if not morse.validate_collapsing_order(X, pairs).valid:
+            raise RuntimeError(f"collapsing order invalid for {current}")
+        X = X.without(X.id_of_label[u] for pair in pairs for u in pair)
+        if set(X.id_of_label) != distinct_subwords(after):
+            raise RuntimeError(f"removed cells of {current} do not leave {after}")
+        steps.append(step)
+        current = after
+    return morse.ReductionTrace(word, tuple(steps), current)

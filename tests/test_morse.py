@@ -38,7 +38,11 @@ from wordcomplex.words import (
     reduced_form,
 )
 
-from conftest import incidence_by_signs, upward_closed_by_search
+from conftest import (
+    incidence_by_signs,
+    reduce_to_core_by_subcomplexes,
+    upward_closed_by_search,
+)
 
 
 def w(text):
@@ -301,6 +305,34 @@ def test_validate_matches_up_set_search():
     assert invalid  # the shuffled orders exercise failing pairs too
 
 
+def test_validate_counts_collapsed_cells_as_removed():
+    # with a valid prefix of the order collapsed, the rest of the pairs,
+    # valid or shuffled, get the verdicts and checks they get on the
+    # complex less the prefix's cells; a pair naming such a cell raises
+    rng = random.Random(5)
+    invalid = 0
+    for word in eligible_words(7, 4):
+        m = full_matching(word)
+        skeleton = skeleton_for_matching(build(word), m)
+        for cut in (len(m.pairs) // 3, 2 * len(m.pairs) // 3):
+            done, rest = m.pairs[:cut], m.pairs[cut:]
+            S = frozenset(
+                skeleton.id_of_label[u] for pair in done for u in pair if u != EMPTY
+            )
+            less = skeleton.without(S)
+            orders = [rest, rest[::-1]]
+            for _ in range(3):
+                orders.append(tuple(rng.sample(rest, len(rest))))
+            for order in orders:
+                report = validate_collapsing_order(skeleton, order, S)
+                assert report == validate_collapsing_order(less, order), (word, order)
+                invalid += not report.valid
+            for pair in done:
+                with pytest.raises(ValueError):
+                    validate_collapsing_order(skeleton, rest + (pair,), S)
+    assert invalid  # the shuffled orders exercise failing pairs too
+
+
 # -- word reduction -----------------------------------------------------------------
 
 
@@ -419,19 +451,46 @@ def test_reduce_to_core_builds_nothing(monkeypatch):
     assert calls == []
 
 
-def test_reduce_to_core_rejects_a_complex_not_the_words():
-    X = build(w("abab"))
-    with pytest.raises(ValueError, match="one top cell"):
-        reduce_to_core(X.without(X.cells(3)))  # four top cells
-    # the word's complex with a stray vertex: the first step leaves it over
+def with_stray_vertex(X):
+    """X with one more vertex, labelled by a letter the word does not have."""
     stray = max(X.dim_of) + 1
-    Y = DeltaComplex(
+    return DeltaComplex(
         [X.cells(0) + [stray]] + X.cells_by_dim[1:],
         {**X.faces, stray: ()},
         {**X.labels, stray: w("c")},
     )
+
+
+def test_reduce_to_core_rejects_a_complex_not_the_words():
+    X = build(w("abab"))
+    with pytest.raises(ValueError, match="one top cell"):
+        reduce_to_core(X.without(X.cells(3)))  # four top cells
+    # the word's complex with a stray vertex: the start check refuses it
+    with pytest.raises(RuntimeError, match="not the subwords"):
+        reduce_to_core(with_stray_vertex(X))
+
+
+def test_reduce_to_core_refuses_a_stray_vertex_with_no_step():
+    # aabb takes no step, so only the start check can see the stray vertex
+    X = with_stray_vertex(build(w("aabb")))
+    assert X.f_vector() == (3, 3, 2, 1)
+    with pytest.raises(RuntimeError, match="not the subwords"):
+        reduce_to_core(X)
+
+
+def test_reduce_to_core_checks_the_survivors_of_every_step(monkeypatch):
+    # a step whose matching is a valid order but whose shorter word is not
+    # the one its matched cells leave: only the survivor check sees it
+    step = morse.reduce_step
+
+    def misnamed(word):
+        after, matching = step(word)
+        assert after == w("aab")
+        return w("aba"), matching
+
+    monkeypatch.setattr(morse, "reduce_step", misnamed)
     with pytest.raises(RuntimeError, match="do not leave"):
-        reduce_to_core(Y)
+        reduce_to_core(build(w("aaba")))
 
 
 def test_flip_relabelling_is_the_reversed_complex():
@@ -459,43 +518,50 @@ def test_reduce_to_core_traces_pinned():
     )
 
 
-def test_reduce_to_core_carries_the_coface_table(monkeypatch):
-    # every complex a reduction step makes carries its parent's coface
-    # table, filtered by without or re-indexed by reversed, and it must
-    # equal the table of the same complex built from scratch
-    made = []
-    arrived = []
-
-    def spy(fn):
-        def wrapper(*args):
-            Y = fn(*args)
-            made.append(Y)
-            return Y
-
-        return wrapper
-
-    def validate(X, pairs):
-        arrived.append(X._coface_slots is not None)
-        return exact_validate(X, pairs)
-
-    exact_validate = morse.validate_collapsing_order
-    monkeypatch.setattr(DeltaComplex, "without", spy(DeltaComplex.without))
-    monkeypatch.setattr(DeltaComplex, "reversed", spy(DeltaComplex.reversed))
-    monkeypatch.setattr(morse, "validate_collapsing_order", validate)
-    carried = 0
+def test_reduce_to_core_matches_the_subcomplex_per_step_oracle():
     for word in enumerate_canonical_words(7, 4):
-        made.clear()
-        arrived.clear()
-        reduce_to_core(build(word))
-        for Y in made:
-            if Y._coface_slots is None:
-                continue  # made before any table was built
-            fresh = DeltaComplex(Y.cells_by_dim, Y.faces, Y.labels)
-            assert Y._coface_slots == fresh.coface_slots(), word
-            carried += 1
-        # only the first complex checked builds its table from the faces
-        assert all(arrived[1:]), word
-    assert carried > 5000
+        X = build(word)
+        expected = reduce_to_core_by_subcomplexes(X).to_json()
+        assert reduce_to_core(X).to_json() == expected, word
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 3), min_size=9, max_size=12).map(tuple))
+def test_reduce_to_core_matches_the_oracle_on_longer_words(word):
+    X = build(word)
+    assert reduce_to_core(X).to_json() == reduce_to_core_by_subcomplexes(X).to_json()
+
+
+def test_without_and_reversed_carry_the_coface_table():
+    # skeleton_for_matching, flips and alternating_collapse read the table a
+    # derived complex carries; it must equal one built from its faces
+    def fresh(Y):
+        return DeltaComplex(Y.cells_by_dim, Y.faces, Y.labels).coface_slots()
+
+    carried = 0
+    for word in enumerate_canonical_words(6, 4):
+        X = build(word)
+        X.coface_slots()
+        # cells of dimension at least d, and the cells a valid step matches,
+        # are closed upwards, so their remainders are complexes
+        removals = [
+            [c for c in X.dim_of if X.dim_of[c] >= d] for d in range(1, X.dim + 1)
+        ]
+        try:
+            _, matching = reduce_step(word)
+        except ValueError:
+            pass
+        else:
+            removals.append([X.id_of_label[u] for u in matched_cells(matching)])
+        for removed in removals:
+            Y = X.without(removed)
+            assert Y._coface_slots is not None
+            assert Y._coface_slots == fresh(Y), word
+            Z = Y.reversed()
+            assert Z._coface_slots is not None
+            assert Z._coface_slots == fresh(Z), word
+            carried += 2
+    assert carried > 1000
 
 
 # -- alternating words ----------------------------------------------------------------
