@@ -133,9 +133,8 @@ class DeltaComplex:
         """Subcomplex with the given cells dropped; ids are preserved.
 
         The remainder must be face-closed, otherwise the face table would
-        dangle and the result would not be a complex. A coface table already
-        built is carried over, with the slots of the dropped cells filtered
-        out of their faces' entries.
+        dangle and the result would not be a complex. No coface table is
+        carried over.
         """
         removed = set(removed)
         keep = [c for c in self.dim_of if c not in removed]
@@ -148,35 +147,12 @@ class DeltaComplex:
         cells_by_dim = [
             [c for c in cs if c not in removed] for cs in self.cells_by_dim
         ]
-        sub = DeltaComplex(
+        return DeltaComplex(
             cells_by_dim,
             {c: self.faces[c] for c in keep},
             {c: self.labels[c] for c in keep},
             name=self.name,
         )
-        if self._coface_slots is not None:
-            slots = {c: self._coface_slots[c] for c in keep}
-            touched = {f for c in removed for f in self.faces.get(c, ())}
-            for f in touched.difference(removed):
-                slots[f] = tuple([s for s in slots[f] if s[0] not in removed])
-            sub._coface_slots = slots
-        return sub
-
-    def reversed(self) -> "DeltaComplex":
-        """The reversed word's complex from a word's, same cell ids: deletion
-        position i of a d-cell becomes d - i, so labels and face tuples
-        reverse, and so do the face indices of a coface table already built."""
-        Y = DeltaComplex(
-            self.cells_by_dim,
-            {c: fs[::-1] for c, fs in self.faces.items()},
-            {c: u[::-1] for c, u in self.labels.items()},
-        )
-        if self._coface_slots is not None:
-            Y._coface_slots = {
-                f: tuple(sorted([(c, self.dim_of[c] - i) for c, i in slots]))
-                for f, slots in self._coface_slots.items()
-            }
-        return Y
 
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""

@@ -19,13 +19,18 @@ flip capped at the odd run matches them among themselves. Iterating, with
 a reversal when only the last run is odd, drives every word to its
 fundamental subword or to a single letter. Deletion only loses subwords
 and reversal only relabels, so the reduction keeps the word's built complex
-for the whole run and a set of collapsed cells beside it: a step validates
-its matching as a collapsing order with the collapsed cells counted as
-removed, then adds the matched cells to the set, and a flip relabels the
-live cells and empties it. A valid order keeps the collapsed set closed
-upwards, so the live cells stay closed under faces. The labels of the live
-cells are checked against the subwords of the word once before the first
-step and of the shorter word after every step, independently of the tuples.
+for the whole run, uncopied, and a set of collapsed cells beside it: a step
+validates its matching as a removal order with the collapsed cells counted
+as removed, then adds the matched cells to the set. A flip reads the labels
+backwards from then on and keeps the set. A valid order keeps the collapsed
+set closed upwards, so the live cells stay closed under faces. The labels of
+the live cells are checked against the subwords of the word once before the
+first step and of the shorter word after every step, independently of the
+tuples.
+
+A valid removal order is an acyclic matching with unit incidence, which
+reduces the chain complex (algebraic Morse theory), and not a sequence of
+elementary collapses: see validate_collapsing_order.
 """
 
 from __future__ import annotations
@@ -220,60 +225,38 @@ def full_matching(word: Word) -> Matching:
 
 
 def matching_report(X: DeltaComplex, matching: Matching) -> dict[str, bool]:
-    """Structural checks behind homology-preservation of a matching:
-    partition, dimension adjacency, unit incidence, and coface locality.
+    """Partition, dimension adjacency, unit incidence and coface locality
+    of a matching on X.
 
-    Locality here is the property the removal order actually needs: every
-    cover of a lower cell sigma is its own partner, another lower cell
-    (removed at a higher dimension level), or an upper cell whose partner
-    precedes sigma in the presentation order (removed earlier at the same
-    level). The naive variant without the last clause fails on real words:
-    in a^2 b^2 a, the upper cell aba covers the lower cell aa.
+    The pairs and critical cells must name the cells of X and the empty
+    cell, each once. The other keys are read from one order check on X with
+    the critical cells counted as collapsed (incidence on the dimension-
+    adjacent pairs, locality as upward closure), so the order is valid
+    exactly when all three hold. A pair naming a critical cell or a cell
+    outside X raises ValueError.
+
+    Locality: each cover c of a lower cell sigma is its partner, a lower
+    cell, or an upper cell whose partner precedes sigma in the presentation
+    order (in a^2 b^2 a the upper cell aba covers the lower cell aa). For a
+    dimension-adjacent partition sorted by (-dim, left-shifted tuple of
+    sigma), as full_matching makes, upward closure implies it, since c was
+    removed before sigma:
+    - c is not critical: only the top cell can be, when every exponent is
+      even, and its facets drop one letter of a run j of at least two, so
+      their tuples alpha - e_j are odd at their height: upper cells.
+    - If c is the upper cell of an earlier pair (rho, c), rho has the
+      dimension of sigma and differs from it, so the sort puts rho first.
     """
-    rf = reduced_form(matching.word)
-
-    def pres(u: Word) -> ExpPresentation:
-        return (0,) * len(rf) if u == EMPTY else left_shifted(rf, u)
-
-    cells = set(X.id_of_label)
-    covered: set[Word] = set()
-    lower = {s for s, _ in matching.pairs}
-    lower_of = {t: s for s, t in matching.pairs}
-    report = {"partition": True, "dims": True, "incidence": True, "locality": True}
-    for s, t in matching.pairs:
-        if s in covered or t in covered or s == t:
-            report["partition"] = False
-        covered |= {s, t}
-        if len(t) != len(s) + 1:
-            report["dims"] = False
-            continue
-        if s == EMPTY:
-            inc = 1
-        else:
-            inc = incidence(X, X.id_of_label[s], X.id_of_label[t])
-        if abs(inc) != 1:
-            report["incidence"] = False
-    for c in matching.critical:
-        if c in covered:
-            report["partition"] = False
-        covered.add(c)
-    if covered != cells | {EMPTY}:
-        report["partition"] = False
-
-    slots = X.coface_slots()
-    for s, t in matching.pairs:
-        if s == EMPTY:
-            covers = X.cells(0)
-        else:
-            covers = [c for c, _ in slots[X.id_of_label[s]]]
-        for c in covers:
-            label = X.labels[c]
-            if label == t or label in lower:
-                continue
-            partner = lower_of.get(label)
-            if partner is None or not pres(partner) < pres(s):
-                report["locality"] = False
-    return report
+    named = [u for pair in matching.pairs for u in pair] + list(matching.critical)
+    once = len(set(named)) == len(named)
+    critical = {X.id_of_label.get(c) for c in matching.critical} - {None}
+    checks = validate_collapsing_order(X, matching.pairs, critical).checks
+    return {
+        "partition": once and set(named) == X.id_of_label.keys() | {EMPTY},
+        "dims": all(c.dims_ok for c in checks),
+        "incidence": all(c.incidence_ok for c in checks if c.dims_ok),
+        "locality": all(c.upward_closed for c in checks),
+    }
 
 
 @dataclass(frozen=True)
@@ -301,16 +284,19 @@ def validate_collapsing_order(
     pairs: tuple[tuple[Word, Word], ...],
     collapsed: Set[int] = frozenset(),
 ) -> CollapsingOrderReport:
-    """Check the three collapsing-order conditions pair by pair: adjacent
-    dimensions, incidence +-1, and everything above sigma already removed.
+    """Check a removal order pair by pair: adjacent dimensions, incidence
+    +-1, and everything above sigma already removed. The empty tuple is
+    accepted as a sigma: the augmentation cell, below every cell with
+    incidence one against each vertex.
 
-    The empty tuple is accepted as a sigma and treated as the augmentation
-    cell: it sits below every cell with incidence one against each vertex.
+    A valid order is an acyclic matching with unit incidence, not a
+    sequence of elementary collapses: sigma may be a face of tau more than
+    once. The dunce hat aaa passes with (aa, aaa), though all three
+    deletions of aaa give aa, and elementary_collapse refuses that pair.
 
-    The ids in collapsed count as removed before the first pair, so the
-    order is checked on X less those cells, as on X.without(collapsed),
-    with the coface table of X; a pair naming one of them, like a pair
-    naming a cell outside X, raises.
+    The ids in collapsed count as removed before the first pair, as on
+    X.without(collapsed) but with the coface table of X; a pair naming one
+    of them, or a cell outside X, raises.
 
     Only direct cofaces are inspected: those of sigma, and of tau when tau
     covers sigma. While every earlier pair has passed, the removed cells
@@ -351,15 +337,6 @@ def validate_collapsing_order(
             removed_ids.add(sid)
         removed_ids.add(tid)
     return CollapsingOrderReport(tuple(checks), valid)
-
-
-def skeleton_for_matching(X: DeltaComplex, matching: Matching) -> DeltaComplex:
-    """The complex a full matching's order collapses: the whole complex for
-    a perfect matching, the complex minus the critical top simplex when the
-    last exponent is even (whose presence would break upward closure)."""
-    if not matching.critical:
-        return X
-    return X.without({X.id_of_label[c] for c in matching.critical})
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +416,22 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     The terminal word is the fundamental subword of a spherical input
     (every terminal exponent even) or a single letter otherwise.
 
-    The reduction keeps X and a set of collapsed cell ids, and makes no
-    subcomplex per step. Each step validates its matching as a collapsing
-    order on X with the collapsed cells counted as removed, then adds the
-    matched cells to the set. A valid order removes sigma only once its
-    cofaces other than tau are gone, and tau only once its cofaces are,
-    so the collapsed set stays closed upwards and the live cells stay
-    closed under faces: they form the subcomplex X.without(collapsed)
-    would make. A flip relabels that subcomplex by reversal and empties
-    the set.
+    The reduction keeps X, uncopied, and a set of collapsed cell ids, and
+    makes no complex. Each step validates its matching as a removal order
+    on X with the collapsed cells counted as removed (an acyclic matching
+    with unit incidence, see validate_collapsing_order), then adds the
+    matched cells to the set. A valid order removes a cell only once its
+    cofaces are gone (bar tau for sigma), so the live cells stay closed
+    under faces: they form X.without(collapsed).
 
-    The live labels are compared with the subwords of the word once before
-    the first step, and with those of the shorter word after every step.
-    So a complex that is not the word's fails even when no step is taken,
-    and each step's survivors are checked by a second route that shares
-    nothing with the matching's tuples.
+    A flip reverses the live labels and keeps the collapsed set; later pairs
+    are read backwards to be looked up in X. Reversal keeps the cell ids and
+    cofaces and moves deletion i of a d-cell to d - i, changing an incidence
+    only by (-1)^d, so X gives each pair the reversed complex's verdicts.
+
+    The live labels must be the subwords of the word before the first step,
+    so a complex not the word's fails even with no step, and of the shorter
+    word after each step: a second route, sharing nothing with the tuples.
     """
     top = X.cells(X.dim)
     if len(top) != 1:
@@ -463,6 +441,7 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     if live != distinct_subwords(word):
         raise RuntimeError(f"the cells of the complex are not the subwords of {word}")
     collapsed: set[int] = set()
+    backwards = False  # whether the current word reads the labels of X reversed
     steps: list[ReductionStep] = []
     while True:
         alpha = reduced_form(current).exponents
@@ -475,8 +454,8 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
         elif len(alpha) > 1:
             flipped = current[::-1]
             steps.append(ReductionStep("flip", current, flipped, None, None))
-            X = X.without(collapsed).reversed()
-            current, live, collapsed = flipped, set(X.id_of_label), set()
+            current, backwards = flipped, not backwards
+            live = {u[::-1] for u in live}
             continue
         elif alpha[0] == 1:
             break  # single letter
@@ -487,12 +466,14 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             after = current[:1]
             step = ReductionStep("contract", current, after, None, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
+        matched = {u for pair in pairs for u in pair}
+        if backwards:
+            pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
         report = validate_collapsing_order(X, pairs, collapsed)
         if not report.valid:
             bad = [c for c in report.checks if not c.ok]
             raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
-        matched = {u for pair in pairs for u in pair}
-        collapsed.update(X.id_of_label[u] for u in matched)
+        collapsed.update(X.id_of_label[u] for pair in pairs for u in pair)
         live -= matched
         if live != distinct_subwords(after):
             raise RuntimeError(f"removed cells of {current} do not leave {after}")

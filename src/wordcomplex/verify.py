@@ -167,17 +167,11 @@ def examine_word(word: Word) -> WordReport:
         try:
             matching = morse.full_matching(word)
             rep = morse.matching_report(X, matching)
-            skeleton = morse.skeleton_for_matching(X, matching)
-            order = morse.validate_collapsing_order(skeleton, matching.pairs)
             want_critical = 0 if exponents[-1] % 2 else 1
-            ok = (
-                all(rep.values())
-                and order.valid
-                and len(matching.critical) == want_critical
-            )
+            ok = all(rep.values()) and len(matching.critical) == want_critical
             checks["matching_law"] = _verdict(ok)
             if not ok:
-                notes.append(f"matching report {rep}, order valid {order.valid}")
+                notes.append(f"matching {rep}, {len(matching.critical)} critical")
         except (ValueError, RuntimeError) as exc:
             checks["matching_law"] = FAIL
             notes.append(str(exc))

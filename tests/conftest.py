@@ -13,8 +13,8 @@ from math import gcd
 from hypothesis import settings
 
 from wordcomplex import morse
-from wordcomplex.complexes import elementary_collapse, free_pairs
-from wordcomplex.words import Word, distinct_subwords, reduced_form
+from wordcomplex.complexes import DeltaComplex, elementary_collapse, free_pairs
+from wordcomplex.words import Word, distinct_subwords, left_shifted, reduced_form
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -228,10 +228,51 @@ def upward_closed_by_search(X, pairs) -> list[bool]:
     return flags
 
 
+def reversed_complex(X) -> DeltaComplex:
+    """The reversed word's complex from a word's, same cell ids: deletion
+    position i of a d-cell becomes d - i, so labels and face tuples
+    reverse."""
+    return DeltaComplex(
+        X.cells_by_dim,
+        {c: fs[::-1] for c, fs in X.faces.items()},
+        {c: u[::-1] for c, u in X.labels.items()},
+    )
+
+
+def skeleton_for_matching(X, matching) -> DeltaComplex:
+    """X less the critical cells of a matching, as a complex of its own."""
+    return X.without(X.id_of_label[c] for c in matching.critical)
+
+
+def locality_by_covers(X, matching) -> bool:
+    """Every cover of a lower cell sigma is its partner, another lower cell,
+    or an upper cell whose partner precedes sigma in the presentation order
+    (the left-shifted tuple, zero for the empty cell); read from the covers
+    of each lower cell, whatever the order of the pairs."""
+    rf = reduced_form(matching.word)
+
+    def pres(u: Word) -> tuple[int, ...]:
+        return (0,) * len(rf) if not u else left_shifted(rf, u)
+
+    lower = {s for s, _ in matching.pairs}
+    lower_of = {t: s for s, t in matching.pairs}
+    slots = X.coface_slots()
+    for s, t in matching.pairs:
+        covers = X.cells(0) if not s else [c for c, _ in slots[X.id_of_label[s]]]
+        for c in covers:
+            label = X.labels[c]
+            if label == t or label in lower:
+                continue
+            partner = lower_of.get(label)
+            if partner is None or not pres(partner) < pres(s):
+                return False
+    return True
+
+
 def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
     """The reduction that makes a new complex at every step: X.without after
-    a delete or contract step, X.reversed after a flip, each order checked
-    on the complex in hand with nothing counted as collapsed."""
+    a delete or contract step, the reversed complex after a flip, each order
+    checked on the complex in hand with nothing counted as collapsed."""
     word = current = X.labels[X.cells(X.dim)[0]]
     steps = []
     while True:
@@ -245,7 +286,7 @@ def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
         elif len(alpha) > 1:
             flipped = current[::-1]
             steps.append(morse.ReductionStep("flip", current, flipped, None, None))
-            current, X = flipped, X.reversed()
+            current, X = flipped, reversed_complex(X)
             continue
         elif alpha[0] == 1:
             break

@@ -1,0 +1,55 @@
+"""Every module-level import of a library module is used by that module."""
+
+import ast
+from pathlib import Path
+
+import wordcomplex
+
+SOURCES = sorted(
+    p for p in Path(wordcomplex.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                yield arg.annotation
+            yield args.vararg and args.vararg.annotation
+            yield args.kwarg and args.kwarg.annotation
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """The names a module loads, including those inside string annotations."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for note in _annotations(tree):
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            names |= used_names(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = used_names(tree)
+    return [name for name in bound if name not in used]
+
+
+def test_the_checker_sees_an_unused_import():
+    source = "import os\nfrom typing import Optional, Set\nx: 'Optional[int]' = os.sep"
+    assert unused_imports(source) == ["Set"]
+
+
+def test_library_modules_use_every_import():
+    assert SOURCES
+    unused = {p.name: unused_imports(p.read_text()) for p in SOURCES}
+    assert not any(unused.values()), unused

@@ -20,7 +20,6 @@ from wordcomplex.morse import (
     mu,
     reduce_step,
     reduce_to_core,
-    skeleton_for_matching,
     validate_collapsing_order,
 )
 from wordcomplex.words import (
@@ -40,7 +39,10 @@ from wordcomplex.words import (
 
 from conftest import (
     incidence_by_signs,
+    locality_by_covers,
     reduce_to_core_by_subcomplexes,
+    reversed_complex,
+    skeleton_for_matching,
     upward_closed_by_search,
 )
 
@@ -246,6 +248,60 @@ def test_naive_locality_fails_but_repaired_locality_holds():
     }
     assert aba in covers and aba not in lower
     assert matching_report(X, m)["locality"]
+
+
+def test_matching_report_locality_agrees_with_the_cover_oracle():
+    # the locality read from the order's upward closure is the old
+    # presentation-order locality on every eligible word
+    checked = 0
+    for word in eligible_words(8, 4):
+        X = build(word)
+        m = full_matching(word)
+        assert matching_report(X, m)["locality"] == locality_by_covers(X, m), word
+        checked += 1
+    assert checked == 46
+
+
+def tampered(word, pairs):
+    m = full_matching(word)
+    return build(word), morse.Matching(word, m.t, tuple(pairs), m.critical)
+
+
+def test_matching_report_catches_each_tampering():
+    passing = {"partition": True, "dims": True, "incidence": True, "locality": True}
+    m = full_matching(w("aabba"))
+    assert matching_report(build(w("aabba")), m) == passing
+
+    # a pair dropped: the empty cell and the vertex a are left uncovered
+    assert m.pairs[-1] == (EMPTY, w("a"))
+    X, bad = tampered(w("aabba"), m.pairs[:-1])
+    assert matching_report(X, bad) == {**passing, "partition": False}
+
+    # pairs spanning two dimensions
+    X, bad = tampered(w("aaa"), [(w("a"), w("aaa")), (EMPTY, w("aa"))])
+    report = matching_report(X, bad)
+    assert not report["dims"] and report["partition"]
+
+    # (a, aa): both deletions of aa give a, with signs summing to 0
+    pairs = [(w("ab"), w("aab")), (w("a"), w("aa")), (EMPTY, w("b"))]
+    X, bad = tampered(w("aab"), pairs)
+    assert incidence_by_signs(X, X.id_of_label[w("a")], X.id_of_label[w("aa")]) == 0
+    assert matching_report(X, bad) == {**passing, "incidence": False}
+
+    # the pairs reversed: the empty cell goes first, under every vertex
+    X, bad = tampered(w("aabba"), m.pairs[::-1])
+    assert matching_report(X, bad) == {**passing, "locality": False}
+
+
+def test_order_check_accepts_a_pair_that_is_no_elementary_collapse():
+    # the dunce hat: all three deletions of aaa give aa, with signs -1, +1,
+    # -1, so the pair has unit incidence but aa is no free face of aaa
+    X = build(w("aaa"))
+    aa, aaa = X.id_of_label[w("aa")], X.id_of_label[w("aaa")]
+    assert X.faces[aaa] == (aa, aa, aa)
+    assert validate_collapsing_order(X, ((w("aa"), w("aaa")),)).valid
+    with pytest.raises(ValueError, match="3 deletions of tau hit sigma"):
+        elementary_collapse(X, aa, aaa)
 
 
 # -- collapsing order validation ---------------------------------------------------
@@ -501,7 +557,7 @@ def test_flip_relabelling_is_the_reversed_complex():
         }
 
     for word in enumerate_canonical_words(7, 4):
-        flipped = build(word).reversed()
+        flipped = reversed_complex(build(word))
         flipped.validate()
         assert face_labels(flipped) == face_labels(build(word[::-1])), word
 
@@ -518,6 +574,24 @@ def test_reduce_to_core_traces_pinned():
     )
 
 
+def test_reduce_to_core_constructs_no_complex(monkeypatch):
+    calls = []
+    init = DeltaComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    built = [build(word) for word in enumerate_canonical_words(7, 4)]
+    assert len(built) == 976
+    monkeypatch.setattr(DeltaComplex, "__init__", counting_init)
+    flips = 0
+    for X in built:
+        flips += sum(s.kind == "flip" for s in reduce_to_core(X).steps)
+    assert calls == []
+    assert flips > 100  # the flips build nothing either
+
+
 def test_reduce_to_core_matches_the_subcomplex_per_step_oracle():
     for word in enumerate_canonical_words(7, 4):
         X = build(word)
@@ -530,38 +604,6 @@ def test_reduce_to_core_matches_the_subcomplex_per_step_oracle():
 def test_reduce_to_core_matches_the_oracle_on_longer_words(word):
     X = build(word)
     assert reduce_to_core(X).to_json() == reduce_to_core_by_subcomplexes(X).to_json()
-
-
-def test_without_and_reversed_carry_the_coface_table():
-    # skeleton_for_matching, flips and alternating_collapse read the table a
-    # derived complex carries; it must equal one built from its faces
-    def fresh(Y):
-        return DeltaComplex(Y.cells_by_dim, Y.faces, Y.labels).coface_slots()
-
-    carried = 0
-    for word in enumerate_canonical_words(6, 4):
-        X = build(word)
-        X.coface_slots()
-        # cells of dimension at least d, and the cells a valid step matches,
-        # are closed upwards, so their remainders are complexes
-        removals = [
-            [c for c in X.dim_of if X.dim_of[c] >= d] for d in range(1, X.dim + 1)
-        ]
-        try:
-            _, matching = reduce_step(word)
-        except ValueError:
-            pass
-        else:
-            removals.append([X.id_of_label[u] for u in matched_cells(matching)])
-        for removed in removals:
-            Y = X.without(removed)
-            assert Y._coface_slots is not None
-            assert Y._coface_slots == fresh(Y), word
-            Z = Y.reversed()
-            assert Z._coface_slots is not None
-            assert Z._coface_slots == fresh(Z), word
-            carried += 2
-    assert carried > 1000
 
 
 # -- alternating words ----------------------------------------------------------------
