@@ -168,7 +168,14 @@ def build(word: Word) -> DeltaComplex:
 
     The face at deletion position i of a cell is the subword with that
     letter removed; equal subwords index a single cell, which is exactly
-    the gluing.
+    the gluing. Cells are numbered by dimension, then in sorted order.
+
+    Faces are grown from the prefix's faces: for u = v.a, deleting
+    position i < |u| - 1 gives face_i(v).a, and deleting the last letter
+    gives v. A map per letter a, from the id of x to that of x.a, is filled
+    as the cells are met in dimension order, and each face x.a of u has
+    dimension |u| - 2, so its entry is there when u is reached. A cell then
+    costs one lookup of its prefix, not a slice and a hash per face.
     """
     if not word:
         raise ValueError("cannot build a complex from the empty word")
@@ -187,12 +194,20 @@ def build(word: Word) -> DeltaComplex:
             row.append(next_id)
             next_id += 1
         cells_by_dim.append(row)
-    faces = {}
+    faces: dict[int, tuple[int, ...]] = {}
+    appended = {(a,): {} for a in set(word)}  # a -> {id of x: id of x.a}
     for u, c in ids.items():
         if len(u) == 1:
             faces[c] = ()
+            continue
+        a = u[-1:]
+        p = ids[u[:-1]]
+        grow = appended[a]
+        grow[p] = c
+        if len(u) == 2:
+            faces[c] = (ids[a], p)
         else:
-            faces[c] = tuple(ids[u[:i] + u[i + 1 :]] for i in range(len(u)))
+            faces[c] = (*map(grow.__getitem__, faces[p]), p)
     name = format_word(word) if all(0 <= a <= 25 for a in word) else repr(word)
     return DeltaComplex(cells_by_dim, faces, labels, name=name)
 

@@ -27,12 +27,24 @@ vectors of those n-cells is a unimodular change of basis, so d_n is reduced
 on its other columns alone and the cleared columns join its kernel.
 
 The inverse of the row transform and the column transform are kept as
-sparse columns, giving one certificate identity, M V = U_inv D, checked
-column by column by a sparse product after the vanishing of consecutive
-boundary maps, on every reduction that reduced_homology or a sweep reads.
-Both transforms are products of swaps, negations and integer additions of
-one line to another, so they are unimodular by construction; the tests
-prove it again by determinant.
+sparse columns, giving one certificate identity, M V = U_inv D. Every
+reduction that reduced_homology or a sweep reads is checked by
+check_certificates, after check_composition has checked the vanishing of
+consecutive boundary maps on every column. Each column of V is checked by
+a sparse product, except the cleared columns of d_n, which are certified
+by identity: each must equal, entry for entry, the U_inv column of d_{n+1}
+it was cleared by. That suffices. The certificate of d_{n+1}, checked by
+product, gives d_{n+1} V_up[t] = d_t U_inv_up[t] with d_t > 0 for t below
+its rank; d_n d_{n+1} = 0 on every column, hence on every integer
+combination of columns, so d_t d_n U_inv_up[t] = d_n d_{n+1} V_up[t] = 0,
+and d_n U_inv_up[t] = 0 because the integers have no zero divisors. A
+column equal to U_inv_up[t] is thus one that d_n maps to zero, which is
+what the product would have checked. Only the columns of U_inv_up within
+its rank are so proven, so a map above with more unit pivots than its rank
+is refused. SmithNormalForm.check on its own still checks every column by
+product. Both transforms are products of swaps, negations and integer
+additions of one line to another, so they are unimodular by construction;
+the tests prove it again by determinant.
 
 Reduced homology is realized by an augmentation row of ones at dimension
 zero rather than by special-casing connectivity.
@@ -42,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 
 from .complexes import DeltaComplex, deletion_sign
 
@@ -137,11 +149,18 @@ class SmithNormalForm:
     def rank(self) -> int:
         return len(self.diagonal)
 
-    def check(self, M: list[Column]) -> None:
+    def check(self, M: list[Column], upper: "SmithNormalForm | None" = None) -> None:
         """Verify the divisibility chain and M V = U_inv D column by column,
         M given by its sparse columns: M times column t of V must be d_t
         times column t of U_inv within the rank, and zero past it. Raises on
-        any failure."""
+        any failure.
+
+        Given upper, the reduction of the map above M in chain_data, the
+        columns V[rank : rank + units], units being upper's unit pivots, are
+        checked by identity instead: each must equal upper.U_inv[t], which M
+        maps to zero by the proof in the module docstring. That proof holds
+        only once upper's certificate and the composition of M with upper's
+        map have been checked, so only check_certificates passes upper."""
         if any(d <= 0 for d in self.diagonal):
             raise ArithmeticError("invariant factors must be positive")
         if any(b % a for a, b in zip(self.diagonal, self.diagonal[1:])):
@@ -156,9 +175,16 @@ class SmithNormalForm:
         ):
             raise ArithmeticError("certificate shapes do not match M")
         rank = self.rank
-        for t, v in enumerate(self.V):
+        units = 0
+        if upper is not None:
+            units = len(upper.unit_rows)
+            if units > upper.rank:
+                raise ArithmeticError("more unit pivots above than its rank")
+            if self.V[rank : rank + units] != upper.U_inv[:units]:
+                raise ArithmeticError("a cleared column is not its boundary above")
+        for t in chain(range(rank), range(rank + units, n)):
             d, want = (self.diagonal[t], self.U_inv[t]) if t < rank else (0, {})
-            if not _product_is(M, v, d, want):
+            if not _product_is(M, self.V[t], d, want):
                 raise ArithmeticError("certificate M V = U_inv D fails")
 
 
@@ -455,14 +481,24 @@ def profile_of(data: list[tuple[list[Column], SmithNormalForm]]) -> HomologyProf
     return HomologyProfile(tuple(groups))
 
 
+def check_certificates(data: list[tuple[list[Column], SmithNormalForm]]) -> None:
+    """Raise unless every reduction of chain_data is a certificate of its
+    map, checked from the top dimension down, each map's cleared columns
+    by identity with the map above (see the module docstring). Run it
+    after check_composition, which that identity relies on."""
+    upper = None
+    for M, snf in reversed(data):
+        snf.check(M, upper)
+        upper = snf
+
+
 def reduced_homology(X: DeltaComplex) -> HomologyProfile:
     """Certified homology: chain_data, verified by check_composition, which
-    the clearing relies on, and then by every certificate, read by
+    the clearing relies on, and then by check_certificates, read by
     profile_of. Raises ArithmeticError on a failed check."""
     data = chain_data(X)
     check_composition(data)
-    for M, snf in data:
-        snf.check(M)
+    check_certificates(data)
     return profile_of(data)
 
 

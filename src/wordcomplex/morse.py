@@ -661,7 +661,7 @@ def alternating_collapse(n: int) -> CollapseRun:
             raise RuntimeError(
                 f"collapse of alt({n}) is stuck with {len(pending)} pairs pending"
             )
-    terminal = frozenset(X.without(removed).id_of_label)
+    terminal = frozenset(X.labels[c] for c in X.dim_of if c not in removed)
     if terminal != frozenset(keep):
         raise RuntimeError(f"collapse of alt({n}) left {sorted(terminal)}")
     return CollapseRun(w, tuple(steps), core, terminal)

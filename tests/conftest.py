@@ -33,6 +33,24 @@ def subwords_by_positions(word: Word) -> set[Word]:
     return out
 
 
+def complex_by_slicing(word: Word):
+    """The cells by dimension, face table and labels of the word's complex,
+    by position subsets and one slice per face: cells numbered by length,
+    then in sorted order, and face i of u the subword u less its letter i."""
+    cells = sorted(subwords_by_positions(word), key=lambda u: (len(u), u))
+    ids = {u: c for c, u in enumerate(cells)}
+    cells_by_dim = [[] for _ in word]
+    for u, c in ids.items():
+        cells_by_dim[len(u) - 1].append(c)
+    while not cells_by_dim[-1]:
+        cells_by_dim.pop()
+    faces = {
+        c: tuple(ids[u[:i] + u[i + 1 :]] for i in range(len(u))) if len(u) > 1 else ()
+        for u, c in ids.items()
+    }
+    return cells_by_dim, faces, {c: u for u, c in ids.items()}
+
+
 def euler_by_enumeration(word: Word) -> int:
     """Signed subword count, empty subword contributing -1."""
     total = -1

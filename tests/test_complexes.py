@@ -24,7 +24,7 @@ from wordcomplex.words import (
     reduced_form,
 )
 
-from conftest import collapse_all, incidence_by_signs
+from conftest import collapse_all, complex_by_slicing, incidence_by_signs
 
 
 def w(text):
@@ -48,6 +48,35 @@ def test_build_small_examples():
     assert build(w("aba")).f_vector() == (2, 3, 1)
     for n in range(1, 7):
         assert build((0,) * n).f_vector() == (1,) * n
+
+
+# the words of the benchmark's homology workload, 431-943 cells each
+HARD_WORDS = (
+    "abababababab",
+    "aabbccaabbcc",
+    "aabbccddaabb",
+    "abcdeedcba",
+    "abcdbeabdb",
+    "aabcbaadbcd",
+    "abcabcabca",
+    "abcdabcda",
+    "abcdbcadcb",
+    "abcdedcbab",
+    "abcdeabcde",
+)
+
+
+def test_build_faces_agree_with_slicing():
+    # build grows each face table from its prefix's; the second route
+    # slices every face out of the subword
+    words = list(enumerate_canonical_words(6, 4)) + [w(t) for t in HARD_WORDS]
+    assert len(words) == 272
+    for word in words:
+        X = build(word)
+        cells_by_dim, faces, labels = complex_by_slicing(word)
+        assert X.cells_by_dim == cells_by_dim, word
+        assert X.labels == labels, word
+        assert X.faces == faces, word
 
 
 def test_build_empty_word_rejected():

@@ -15,6 +15,7 @@ from wordcomplex.homology import (
     reduced_homology,
     smith_normal_form,
 )
+from wordcomplex.verify import examine_word
 from wordcomplex.words import enumerate_canonical_words, parse_word, predict_homotopy
 
 from conftest import assert_unimodular, columns_of, dense_of, matmul, minors_gcd
@@ -175,6 +176,64 @@ def test_certificate_rejects_a_tampered_cleared_column():
             tampered += 1
         snf.check(M)
     assert tampered
+
+
+# Tamperings of the cleared columns of d_1 of abca, whose upper map d_2 has
+# three unit pivots, at the cells aa, ab and ba, and rank 3. Each returns
+# whether the product check of d_1 alone sees it.
+
+
+def drop_the_leading_entry(M, snf, upper):
+    # aa has zero boundary, so the product cannot see the entry go
+    del snf.V[snf.rank][upper.unit_rows[0]]
+    return False
+
+
+def swap_in_another_boundary(M, snf, upper):
+    # a boundary too, so d_1 kills it, but not the one cleared there
+    snf.V[snf.rank] = dict(upper.U_inv[1])
+    return False
+
+
+def claim_a_unit_past_the_rank(M, snf, upper):
+    # a fourth unit pivot, and its U_inv column, no boundary, put in place:
+    # only the refusal keeps the identity from passing it
+    units = len(upper.unit_rows)
+    upper.unit_rows += (min(set(range(upper.shape[0])) - set(upper.unit_rows)),)
+    snf.V[snf.rank + units] = dict(upper.U_inv[units])
+    return True
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (drop_the_leading_entry, "not its boundary above"),
+        (swap_in_another_boundary, "not its boundary above"),
+        (claim_a_unit_past_the_rank, "more unit pivots"),
+    ],
+)
+def test_cleared_columns_are_certified_by_identity(monkeypatch, tamper, message):
+    exact = homology.chain_data
+
+    def tampered(X):
+        data = exact(X)
+        (M, snf), (_, upper) = data[1], data[2]
+        assert len(upper.unit_rows) == upper.rank == 3
+        homology.check_certificates(data)
+        if tamper(M, snf, upper):
+            with pytest.raises(ArithmeticError, match="M V = U_inv D"):
+                snf.check(M)
+        else:
+            snf.check(M)  # the product route alone passes it
+        return data
+
+    monkeypatch.setattr(homology, "chain_data", tampered)
+    with pytest.raises(ArithmeticError, match=message):
+        reduced_homology(build(w("abca")))
+    row = examine_word(w("abca"))
+    assert row.checks["boundary_squares_to_zero"] == "pass"
+    assert row.checks["snf_certificates"] == "fail"
+    assert any(message in note for note in row.notes)
 
 
 def rp2():

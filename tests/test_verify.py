@@ -65,10 +65,10 @@ def test_examine_word_failure_is_data_not_exception():
 
 
 def test_each_chain_verdict_reads_its_own_check(monkeypatch):
-    def refuse(snf, M):
+    def refuse(data):
         raise ArithmeticError("certificate M V = U_inv D fails")
 
-    monkeypatch.setattr(homology.SmithNormalForm, "check", refuse)
+    monkeypatch.setattr(homology, "check_certificates", refuse)
     row = examine_word(parse_word("abab"))
     assert row.checks["boundary_squares_to_zero"] == "pass"
     assert row.checks["snf_certificates"] == "fail"
