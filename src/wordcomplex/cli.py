@@ -339,7 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = word_command("export", cmd_export, "export the complex")
     p.add_argument("--format", choices=("json", "dot", "csv"), default="json")
 
-    p = sub.add_parser("sweep", help="exhaustive verification sweep")
+    p = sub.add_parser(
+        "sweep",
+        help="exhaustive verification sweep",
+        description="Examine every canonical word within the bounds. A sweep "
+        "of at least 500 words runs on one worker process per usable CPU "
+        "(taskset -c 0 keeps it in one process); the report is the same "
+        "either way.",
+    )
     p.add_argument("--max-len", type=_int_at_least(1), default=8)
     p.add_argument("--alphabet", type=_int_at_least(1), default=4)
     p.add_argument("--json", action="store_true")

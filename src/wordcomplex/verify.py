@@ -3,6 +3,10 @@
 Every canonical word within the bounds is pushed through all independent
 computation routes, and every cross-check lands in a deterministic report:
 failures are data, not exceptions, so a single run surfaces every witness.
+The words are independent, so a large sweep examines them in a pool of
+spawned worker processes, one per CPU the process may run on, and merges
+the rows back in canonical order: the report does not depend on how many
+workers there were.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 
 from . import complexes, homology, morse, words
@@ -215,16 +220,60 @@ def examine_word(word: Word) -> WordReport:
     )
 
 
+# Fewest words a sweep hands to a worker pool; see `sweep`.
+POOL_MIN_WORDS = 500
+# Chunks of words per worker. The words grow longer, and slower, in
+# canonical order, so the last chunks must be small enough to share out;
+# sweep(7, 4) took the same time (1.40 s, median of 5) with 4, 16 and 64.
+CHUNKS_PER_WORKER = 16
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(max_len: int, max_alphabet: int, dedup_reversal: bool = False) -> SweepReport:
-    """Examine every canonical word within the bounds, in canonical order."""
-    rows = []
-    failures = []
-    for w in words.enumerate_canonical_words(max_len, max_alphabet, dedup_reversal):
-        row = examine_word(w)
-        rows.append(row)
-        for name in CHECK_NAMES:
-            if row.checks.get(name) == FAIL:
-                failures.append((row.word, name))
+    """Examine every canonical word within the bounds, in canonical order.
+
+    With more than one usable CPU and at least POOL_MIN_WORDS words, the
+    words are examined by one spawned worker process per CPU; otherwise in
+    this process (`taskset -c 0` forces that). Either way the rows come
+    back in canonical order, so the report is the same. Starting the pool
+    costs a few tenths of a second: on a 2-core host (Python 3.11, median
+    of 7 runs), sweep(5, 4), 74 words, took 0.07 s in-process against
+    0.23 s pooled, and sweep(6, 4), 261 words, 0.37 s against 0.41 s; hence
+    the threshold of about twice that. sweep(7, 4), 976 words, took 2.3 s
+    against 1.4 s.
+
+    Spawned workers import the caller's main module, so a script that
+    sweeps that many words must call `sweep` under
+    `if __name__ == "__main__":`. Without the guard the workers fail as
+    they start, and `sweep` raises `BrokenProcessPool` at once. No worker
+    outlives the call, whether it returns or raises.
+    """
+    todo = list(words.enumerate_canonical_words(max_len, max_alphabet, dedup_reversal))
+    workers = usable_cpus()
+    if workers == 1 or len(todo) < POOL_MIN_WORDS:
+        rows = [examine_word(w) for w in todo]
+    else:
+        # imported here only: `cli` imports this module for every command
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        chunksize = max(1, len(todo) // (CHUNKS_PER_WORKER * workers))
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            rows = list(pool.map(examine_word, todo, chunksize=chunksize))
+    failures = [
+        (row.word, name)
+        for row in rows
+        for name in CHECK_NAMES
+        if row.checks.get(name) == FAIL
+    ]
     return SweepReport(max_len, max_alphabet, tuple(rows), tuple(failures))
 
 
@@ -342,8 +391,6 @@ def check_tables() -> TablesReport:
 
 def write_reports(report: SweepReport, directory: str) -> tuple[str, str]:
     """Write report.json and report.csv into the directory; returns paths."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     json_path = os.path.join(directory, "report.json")
     csv_path = os.path.join(directory, "report.csv")

@@ -7,11 +7,14 @@ test are checked against something independent.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 from hypothesis import settings
 
+import wordcomplex
 from wordcomplex import morse
 from wordcomplex.complexes import DeltaComplex, elementary_collapse, free_pairs
 from wordcomplex.words import Word, distinct_subwords, left_shifted, reduced_form
@@ -22,6 +25,14 @@ settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None
 )
 settings.load_profile("deterministic")
+
+
+def env_importing_the_package() -> dict[str, str]:
+    """This process's environment, with the directory that holds the
+    package under test first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(wordcomplex.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def subwords_by_positions(word: Word) -> set[Word]:

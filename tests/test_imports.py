@@ -1,9 +1,14 @@
-"""Every module-level import of a library module is used by that module."""
+"""The library's imports: every module-level import of a library module is
+used by that module, and importing the command line loads no pool module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import wordcomplex
+
+from conftest import env_importing_the_package
 
 SOURCES = sorted(
     p for p in Path(wordcomplex.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -53,3 +58,18 @@ def test_library_modules_use_every_import():
     assert SOURCES
     unused = {p.name: unused_imports(p.read_text()) for p in SOURCES}
     assert not any(unused.values()), unused
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    # only a pooled sweep needs them; every other command would pay their
+    # import at start-up
+    probe = (
+        "import sys, wordcomplex, wordcomplex.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env_importing_the_package(),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,16 @@
 import json
+import multiprocessing
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from wordcomplex import complexes, homology, morse, verify
 from wordcomplex.verify import check_tables, examine_word, sweep
 from wordcomplex.words import parse_word
+
+from conftest import env_importing_the_package
 
 
 def test_sweep_single_letter():
@@ -108,6 +114,57 @@ def test_sweep_builds_each_word_once(monkeypatch):
     report = sweep(6, 4)
     assert report.ok
     assert len(calls) == len(report.rows)
+
+
+@pytest.mark.parametrize(
+    "bounds, dedup_reversal", [((5, 3), False), ((4, 4), True)]
+)
+def test_pooled_sweep_reports_the_in_process_bytes(monkeypatch, bounds, dedup_reversal):
+    alone = sweep(*bounds, dedup_reversal=dedup_reversal)
+    assert len(alone.rows) < verify.POOL_MIN_WORDS  # the in-process route
+
+    built_here = []
+    exact = complexes.build
+
+    def counting_build(word):
+        built_here.append(word)
+        return exact(word)
+
+    monkeypatch.setattr(complexes, "build", counting_build)
+    monkeypatch.setattr(verify, "POOL_MIN_WORDS", 1)
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    pooled = sweep(*bounds, dedup_reversal=dedup_reversal)
+    assert built_here == []  # every word was examined by a worker
+    assert json.dumps(pooled.to_json(), sort_keys=True) == json.dumps(
+        alone.to_json(), sort_keys=True
+    )
+    assert pooled.to_csv() == alone.to_csv()
+    assert multiprocessing.active_children() == []
+
+
+def test_unguarded_pooled_sweep_fails_fast(tmp_path):
+    # spawned workers re-run a script's module level as they start; without
+    # a __main__ guard they fail there, and the sweep must raise, not hang
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""\
+        import multiprocessing
+
+        from wordcomplex import verify
+
+        verify.POOL_MIN_WORDS = 1
+        verify.usable_cpus = lambda: 2
+        try:
+            verify.sweep(3, 3)
+        finally:
+            print("workers left:", len(multiprocessing.active_children()))
+    """))
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env_importing_the_package(),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "workers left: 0"
 
 
 def test_failing_reduction_step_is_reported(monkeypatch):
