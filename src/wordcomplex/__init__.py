@@ -4,26 +4,27 @@ Build the complex whose simplices are the distinct subwords of a word,
 compute its exact integral homology, run the collapsing matchings that
 certify its homotopy type, and sweep every small word to cross-check the
 classification (contractible or an odd-dimensional sphere).
+
+The package holds what the command line and the sweep run. Second routes
+that only the tests compare against (joins and isomorphism search, the
+paper's shifted presentations and its matching involution mu, elementary
+collapses on copied subcomplexes) live in tests/reference.py.
 """
 
 from .complexes import (
     DeltaComplex,
     barycentric_subdivide,
     build,
-    elementary_collapse,
     free_pairs,
     incidence,
-    is_isomorphic,
     is_pseudomanifold,
     is_simplicial,
-    join,
 )
 from .homology import HomologyProfile, boundary_matrix, reduced_homology, smith_normal_form
 from .morse import (
     Matching,
     alternating_collapse,
     full_matching,
-    mu,
     reduce_step,
     reduce_to_core,
     validate_collapsing_order,
@@ -34,25 +35,18 @@ from .words import (
     ReducedForm,
     Word,
     WordClassification,
-    arrow,
-    arrow_chain,
     canonicalize,
     classify,
     distinct_subwords,
     enumerate_canonical_words,
     euler_direct,
     euler_recursive,
-    exp_presentations,
     format_word,
     fundamental_subword,
-    height,
     is_decomposable,
-    left_shifted,
-    p_shifted,
     parse_word,
     predict_homotopy,
     reduced_form,
-    right_shifted,
     subword_counts,
     xi,
 )
@@ -68,8 +62,6 @@ __all__ = [
     "Word",
     "WordClassification",
     "alternating_collapse",
-    "arrow",
-    "arrow_chain",
     "barycentric_subdivide",
     "boundary_matrix",
     "build",
@@ -77,32 +69,23 @@ __all__ = [
     "check_tables",
     "classify",
     "distinct_subwords",
-    "elementary_collapse",
     "enumerate_canonical_words",
     "euler_direct",
     "euler_recursive",
-    "exp_presentations",
     "format_word",
     "free_pairs",
     "full_matching",
     "fundamental_subword",
-    "height",
     "incidence",
     "is_decomposable",
-    "is_isomorphic",
     "is_pseudomanifold",
     "is_simplicial",
-    "join",
-    "left_shifted",
-    "mu",
-    "p_shifted",
     "parse_word",
     "predict_homotopy",
     "reduce_step",
     "reduce_to_core",
     "reduced_form",
     "reduced_homology",
-    "right_shifted",
     "smith_normal_form",
     "subword_counts",
     "sweep",

@@ -1,4 +1,4 @@
-"""Delta-complex gluing data: word complexes, joins, collapses, subdivision.
+"""Delta-complex gluing data: word complexes, free pairs, subdivision, exports.
 
 A complex stores opaque integer cell ids graded by dimension plus a
 codimension-one face table: faces[c][i] is the cell obtained by deleting
@@ -10,10 +10,12 @@ The incidence number of a codimension-one pair is the signed count of
 deletions, with position i carrying sign (-1)^(i+1) (the sign of the
 order-preserving injection missing 1-based index i+1).
 
-Every cell carries a provenance label: the subword for a word complex, a
-pair of factor labels for a join (None marking the empty side), or a
-(cell, flag) pair for a barycentric subdivision. Labels are unique per
-complex, so derived constructions stay explainable in test failures.
+Every cell carries a provenance label: the subword for a word complex, or
+a (cell, flag) pair for a barycentric subdivision. Labels are unique per
+complex, so derived constructions stay explainable in test failures. Joins,
+isomorphism search and elementary collapses on copied subcomplexes are
+second routes of the tests, in tests/reference.py, and not part of the
+library.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ from math import comb
 from typing import Iterable, Optional
 
 from .words import Word, distinct_subwords, format_word
+
+
+def _subword_text(label) -> Optional[str]:
+    """The label spelled over a-z when it is a word of letter ids 0..25,
+    else None: a word's name, a cell's subword in exports."""
+    if isinstance(label, tuple) and all(
+        isinstance(a, int) and 0 <= a <= 25 for a in label
+    ):
+        return format_word(label)
+    return None
 
 
 def _label_key(label):
@@ -74,9 +86,6 @@ class DeltaComplex:
 
     def reduced_euler(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in enumerate(self.cells_by_dim)) - 1
-
-    def face(self, c: int, i: int) -> int:
-        return self.faces[c][i]
 
     def restricted_to(self, c: int, keep: Iterable[int]) -> int:
         """Iterated face keeping only the given positions of c.
@@ -128,31 +137,6 @@ class DeltaComplex:
                         raise ValueError(
                             f"simplicial identity fails at cell {c}, i={i}, j={j}"
                         )
-
-    def without(self, removed: Iterable[int]) -> "DeltaComplex":
-        """Subcomplex with the given cells dropped; ids are preserved.
-
-        The remainder must be face-closed, otherwise the face table would
-        dangle and the result would not be a complex. No coface table is
-        carried over.
-        """
-        removed = set(removed)
-        keep = [c for c in self.dim_of if c not in removed]
-        for c in keep:
-            for f in self.faces[c]:
-                if f in removed:
-                    raise ValueError(
-                        f"removing cells would orphan face {f} of cell {c}"
-                    )
-        cells_by_dim = [
-            [c for c in cs if c not in removed] for cs in self.cells_by_dim
-        ]
-        return DeltaComplex(
-            cells_by_dim,
-            {c: self.faces[c] for c in keep},
-            {c: self.labels[c] for c in keep},
-            name=self.name,
-        )
 
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""
@@ -208,7 +192,9 @@ def build(word: Word) -> DeltaComplex:
             faces[c] = (ids[a], p)
         else:
             faces[c] = (*map(grow.__getitem__, faces[p]), p)
-    name = format_word(word) if all(0 <= a <= 25 for a in word) else repr(word)
+    name = _subword_text(word)
+    if name is None:
+        name = repr(word)
     return DeltaComplex(cells_by_dim, faces, labels, name=name)
 
 
@@ -229,166 +215,7 @@ def incidence(X: DeltaComplex, sigma: int, tau: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Join
-
-
-def empty_complex() -> DeltaComplex:
-    return DeltaComplex([], {}, {}, name="empty")
-
-
-def join(X: DeltaComplex, Y: DeltaComplex) -> DeltaComplex:
-    """Join of two complexes: cells are pairs graded by i + j + 1.
-
-    Internally each factor is augmented with a formal empty cell so that
-    faces lying entirely inside one factor exist; pairs with an empty side
-    appear in the public cell list as copies of the other factor's cells,
-    and the doubly empty pair is dropped.
-    """
-    if X.n_cells == 0:
-        return Y
-    if Y.n_cells == 0:
-        return X
-
-    # key: (x id or None, y id or None), None marking the formal empty cell
-    keys = []
-    for x in X.dim_of:
-        keys.append((x, None))
-    for y in Y.dim_of:
-        keys.append((None, y))
-    for x in X.dim_of:
-        for y in Y.dim_of:
-            keys.append((x, y))
-
-    def pair_dim(key) -> int:
-        x, y = key
-        dx = X.dim_of[x] if x is not None else -1
-        dy = Y.dim_of[y] if y is not None else -1
-        return dx + dy + 1
-
-    def pair_label(key):
-        x, y = key
-        return (
-            X.labels[x] if x is not None else None,
-            Y.labels[y] if y is not None else None,
-        )
-
-    keys.sort(key=lambda k: (pair_dim(k), _label_key(pair_label(k))))
-    ids = {k: i for i, k in enumerate(keys)}
-    cells_by_dim: list[list[int]] = [[] for _ in range(pair_dim(keys[-1]) + 1)]
-    labels = {}
-    faces = {}
-    for k in keys:
-        c = ids[k]
-        d = pair_dim(k)
-        cells_by_dim[d].append(c)
-        labels[c] = pair_label(k)
-        if d == 0:
-            faces[c] = ()
-            continue
-        x, y = k
-        dx = X.dim_of[x] if x is not None else -1
-        fs = []
-        for pos in range(d + 1):
-            if pos <= dx:
-                nx = X.faces[x][pos] if dx >= 1 else None
-                fs.append(ids[(nx, y)])
-            else:
-                dy = Y.dim_of[y]
-                ny = Y.faces[y][pos - dx - 1] if dy >= 1 else None
-                fs.append(ids[(x, ny)])
-        faces[c] = tuple(fs)
-    name = f"({X.name})*({Y.name})"
-    return DeltaComplex(cells_by_dim, faces, labels, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism testing
-
-
-def _refine_colors(X: DeltaComplex, Y: DeltaComplex) -> tuple[dict, dict]:
-    """Joint color refinement on face structure; isomorphisms preserve colors."""
-    colX = {c: X.dim_of[c] for c in X.dim_of}
-    colY = {c: Y.dim_of[c] for c in Y.dim_of}
-    for _ in range(X.n_cells + 1):
-        table: dict[object, int] = {}
-
-        def recolor(Z, col):
-            new = {}
-            for c in Z.dim_of:
-                sig = (col[c], tuple(col[f] for f in Z.faces[c]))
-                if sig not in table:
-                    table[sig] = len(table)
-                new[c] = table[sig]
-            return new
-
-        newX, newY = recolor(X, colX), recolor(Y, colY)
-        if len(set(newX.values())) == len(set(colX.values())) and len(
-            set(newY.values())
-        ) == len(set(colY.values())):
-            return newX, newY
-        colX, colY = newX, newY
-    return colX, colY
-
-
-def is_isomorphic(X: DeltaComplex, Y: DeltaComplex) -> bool:
-    """Search for dimension-preserving bijections commuting with every face
-    map; commuting with single deletions suffices since they compose to all
-    boundary maps."""
-    if X.f_vector() != Y.f_vector():
-        return False
-    colX, colY = _refine_colors(X, Y)
-
-    def counts(col):
-        out: dict[int, int] = {}
-        for v in col.values():
-            out[v] = out.get(v, 0) + 1
-        return out
-
-    if counts(colX) != counts(colY):
-        return False
-
-    candidates = {c: [d for d in Y.dim_of if colY[d] == colX[c]] for c in X.dim_of}
-    # assign from the top dimension down; assigning a cell forces its faces
-    order = sorted(X.dim_of, key=lambda c: (-X.dim_of[c], len(candidates[c])))
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def propagate(c: int, d: int, trail: list[int]) -> bool:
-        if c in assignment:
-            return assignment[c] == d
-        if d in used:
-            return False
-        assignment[c] = d
-        used.add(d)
-        trail.append(c)
-        for i, f in enumerate(X.faces[c]):
-            if not propagate(f, Y.faces[d][i], trail):
-                return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for c in trail:
-            used.discard(assignment.pop(c))
-
-    def search(idx: int) -> bool:
-        while idx < len(order) and order[idx] in assignment:
-            idx += 1
-        if idx == len(order):
-            return True
-        c = order[idx]
-        for d in candidates[c]:
-            trail: list[int] = []
-            if propagate(c, d, trail):
-                if search(idx + 1):
-                    return True
-            undo(trail)
-        return False
-
-    return search(0)
-
-
-# ---------------------------------------------------------------------------
-# Elementary collapses
+# Free pairs
 
 
 @dataclass(frozen=True)
@@ -413,28 +240,6 @@ def free_pairs(X: DeltaComplex) -> list[FreePair]:
         out.append(FreePair(sigma, tau, i))
     out.sort(key=lambda p: (X.dim_of[p.sigma], _label_key(X.labels[p.sigma])))
     return out
-
-
-def elementary_collapse(X: DeltaComplex, sigma: int, tau: int) -> DeltaComplex:
-    """Remove a free pair; raises naming the violated condition if invalid."""
-    if sigma not in X.dim_of or tau not in X.dim_of:
-        raise ValueError("cells not in the complex")
-    if X.dim_of[sigma] != X.dim_of[tau] - 1:
-        raise ValueError("collapse condition (1) fails: dimensions not adjacent")
-    hits = [i for i, f in enumerate(X.faces[tau]) if f == sigma]
-    if len(hits) != 1:
-        raise ValueError(
-            f"collapse condition (1) fails: {len(hits)} deletions of tau hit sigma"
-        )
-    slots = X.coface_slots()
-    others = [s for s in slots[sigma] if s[0] != tau]
-    if others:
-        raise ValueError(
-            "collapse condition (2) fails: sigma is a face of another cell"
-        )
-    if slots[tau]:
-        raise ValueError("collapse condition (3) fails: tau is not maximal")
-    return X.without({sigma, tau})
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +383,7 @@ def is_pseudomanifold(X: DeltaComplex) -> bool:
 def to_json_dict(X: DeltaComplex, word: Optional[Word] = None) -> dict:
     cells = []
     for c in X.cells():
-        label = X.labels[c]
-        subword = None
-        if isinstance(label, tuple) and all(isinstance(a, int) for a in label):
-            subword = format_word(label)
+        subword = _subword_text(X.labels[c])
         cells.append({"id": c, "dim": X.dim_of[c], "subword": subword})
     boundary = [
         {"cell": c, "face_index": i, "target": f}
@@ -601,9 +403,8 @@ def to_dot(X: DeltaComplex) -> str:
     lines = ["digraph face_poset {", "  rankdir=BT;", "  node [shape=box];"]
     for c in X.cells():
         label = X.labels[c]
-        if isinstance(label, tuple) and all(isinstance(a, int) for a in label):
-            text = format_word(label)
-        else:
+        text = _subword_text(label)
+        if text is None:
             text = str(label)
         lines.append(f'  c{c} [label="{text} (dim {X.dim_of[c]})"];')
     for c in X.cells():

@@ -415,9 +415,6 @@ class HomologyProfile:
             return None
         return next(n for n, (b, _) in enumerate(self.groups) if b == 1)
 
-    def reduced_euler(self) -> int:
-        return sum((-1) ** n * b for n, (b, _) in enumerate(self.groups))
-
     def to_json(self) -> list[dict]:
         return [
             {"dim": n, "betti": b, "torsion": list(t)}

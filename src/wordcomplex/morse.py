@@ -48,8 +48,6 @@ from .words import (
     distinct_subwords,
     format_word,
     fundamental_subword,
-    height,
-    left_shifted,
     reduced_form,
     xi,
 )
@@ -81,12 +79,8 @@ class Matching:
     critical: tuple[Word, ...]
     rules: tuple[str, ...] = field(default=())  # per-pair tags when rule-driven
 
-    def rule_of(self, pair: tuple[Word, Word]) -> str:
-        if not self.rules:
-            return "mu"
-        return dict(zip(self.pairs, self.rules))[pair]
-
     def to_json(self) -> dict:
+        rules = self.rules or ("mu",) * len(self.pairs)
         return {
             "word": format_word(self.word),
             "pairs": [
@@ -94,9 +88,9 @@ class Matching:
                     "sigma": _word_name(s),
                     "tau": _word_name(t),
                     "dim": len(s) - 1,
-                    "rule": self.rule_of((s, t)),
+                    "rule": rule,
                 }
-                for s, t in self.pairs
+                for (s, t), rule in zip(self.pairs, rules)
             ],
             "critical": [_word_name(c) for c in self.critical],
         }
@@ -110,24 +104,6 @@ def _mu_formula(
     if flipped > alpha[h - 1]:
         raise ValueError("the full tuple is unmatched when the last exponent is even")
     return alpha[: h - 1] + (flipped,) + beta[h:]
-
-
-def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
-    """The matching involution on left-shifted presentations.
-
-    Requires the first t-1 exponents even and beta left-shifted. The image
-    is again left-shifted with the same height; both are re-checked here
-    because the pairing silently breaks without them.
-    """
-    expansion = rf.expand_presentation(beta)
-    if beta != left_shifted(rf, expansion):
-        raise ValueError("beta must be a left-shifted presentation")
-    out = _mu_formula(rf.exponents, height(beta, rf, t), beta)
-    if out != left_shifted(rf, rf.expand_presentation(out)):
-        raise RuntimeError(f"matching image {out} of {beta} is not left-shifted")
-    if height(out, rf, t) != height(beta, rf, t):
-        raise RuntimeError(f"matching image {out} of {beta} changed height")
-    return out
 
 
 def _outward(
@@ -292,11 +268,11 @@ def validate_collapsing_order(
     A valid order is an acyclic matching with unit incidence, not a
     sequence of elementary collapses: sigma may be a face of tau more than
     once. The dunce hat aaa passes with (aa, aaa), though all three
-    deletions of aaa give aa, and elementary_collapse refuses that pair.
+    deletions of aaa give aa, so that pair is no elementary collapse.
 
-    The ids in collapsed count as removed before the first pair, as on
-    X.without(collapsed) but with the coface table of X; a pair naming one
-    of them, or a cell outside X, raises.
+    The ids in collapsed count as removed before the first pair, as on the
+    subcomplex of X without them, read through the coface table of X; a
+    pair naming one of them, or a cell outside X, raises.
 
     Only direct cofaces are inspected: those of sigma, and of tau when tau
     covers sigma. While every earlier pair has passed, the removed cells
@@ -422,7 +398,7 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     with unit incidence, see validate_collapsing_order), then adds the
     matched cells to the set. A valid order removes a cell only once its
     cofaces are gone (bar tau for sigma), so the live cells stay closed
-    under faces: they form X.without(collapsed).
+    under faces: they form the subcomplex of X without the collapsed set.
 
     A flip reverses the live labels and keeps the collapsed set; later pairs
     are read backwards to be looked up in X. Reversal keeps the cell ids and

@@ -81,10 +81,7 @@ class SweepReport:
                     "circular": r.is_circular,
                     "factors": r.circular_factors,
                     "predicted": r.predicted,
-                    "homology": [
-                        {"dim": n, "betti": b, "torsion": list(t)}
-                        for n, (b, t) in enumerate(r.homology)
-                    ],
+                    "homology": homology.HomologyProfile(r.homology).to_json(),
                     "checks": r.checks,
                     "notes": list(r.notes),
                 }

@@ -6,7 +6,9 @@ A word is a tuple of small integer letters. Canonical words use letters
 construction, homology, matchings) only depends on the induced partition
 of positions, so canonical renaming is lossless. Distinct subwords are
 listed, counted by length and signed-summed on one next-occurrence
-automaton of the word.
+automaton of the word. The paper's other presentation routes (every
+presentation of a subword, the left-, right- and p-shifted ones, arrows and
+heights) are second routes of the tests, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class ReducedForm:
     def __len__(self) -> int:
         return len(self.runs)
 
-    def expand(self) -> Word:
-        return tuple(a for a, e in self.runs for _ in range(e))
-
     def expand_presentation(self, beta: ExpPresentation) -> Word:
         """The subword a_1^{b_1} ... a_t^{b_t} named by an exponent tuple."""
         if len(beta) != len(self.runs):
@@ -83,31 +82,6 @@ class ReducedForm:
 
 def reduced_form(word: Word) -> ReducedForm:
     return ReducedForm.from_word(word)
-
-
-def arrow(word: Word, a: int) -> Word:
-    """Suffix of the word strictly after the leftmost occurrence of a."""
-    try:
-        i = word.index(a)
-    except ValueError:
-        raise ValueError(f"letter {a} does not occur in the word") from None
-    return word[i + 1 :]
-
-
-def arrow_chain(word: Word, v: Word) -> Word:
-    """Left fold of arrow over the letters of v."""
-    for a in v:
-        word = arrow(word, a)
-    return word
-
-
-def is_subword(u: Word, w: Word) -> bool:
-    """True when u embeds in w as a subsequence (greedy two-pointer)."""
-    i = 0
-    for a in w:
-        if i < len(u) and u[i] == a:
-            i += 1
-    return i == len(u)
 
 
 def _next_occurrence(word: Word) -> list[dict[int, int]]:
@@ -325,123 +299,8 @@ def reversal_representative(word: Word) -> Word:
     return min(w, canonicalize(w[::-1]))
 
 
-# ---------------------------------------------------------------------------
-# Exponential presentations of subwords
-
-
-def exp_presentations(rf: ReducedForm, v: Word) -> frozenset[ExpPresentation]:
-    """All exponent tuples beta <= alpha whose expansion equals v.
-
-    Empty when v is not a subword of the expanded word.
-    """
-    t = len(rf.runs)
-    out: set[ExpPresentation] = set()
-
-    def rec(run: int, pos: int, acc: list[int]) -> None:
-        if run == t:
-            if pos == len(v):
-                out.add(tuple(acc))
-            return
-        letter, alpha = rf.runs[run]
-        take = 0
-        while True:
-            acc.append(take)
-            rec(run + 1, pos + take, acc)
-            acc.pop()
-            if take == alpha or pos + take >= len(v) or v[pos + take] != letter:
-                break
-            take += 1
-
-    rec(0, 0, [])
-    return frozenset(out)
-
-
-def left_shifted(rf: ReducedForm, v: Word) -> ExpPresentation:
-    """Lex-maximal presentation of v: the greedy leftmost embedding."""
-    beta = []
-    pos = 0
-    for letter, alpha in rf.runs:
-        take = 0
-        while take < alpha and pos < len(v) and v[pos] == letter:
-            take += 1
-            pos += 1
-        beta.append(take)
-    if pos != len(v):
-        raise ValueError("not a subword of the given word")
-    return tuple(beta)
-
-
-def right_shifted(rf: ReducedForm, v: Word) -> ExpPresentation:
-    """Colex-maximal presentation of v: the greedy rightmost embedding."""
-    flipped = ReducedForm(tuple(reversed(rf.runs)))
-    return tuple(reversed(left_shifted(flipped, v[::-1])))
-
-
-def _prefix_form(rf: ReducedForm, p: int) -> ReducedForm:
-    return ReducedForm(rf.runs[:p])
-
-
-def _suffix_form(rf: ReducedForm, p: int) -> ReducedForm:
-    return ReducedForm(rf.runs[p - 1 :])
-
-
-def is_p_shifted(rf: ReducedForm, beta: ExpPresentation, p: int) -> bool:
-    """Check the defining property: the first p coordinates are left-shifted
-    for their own expansion and the coordinates from p on are right-shifted."""
-    t = len(rf.runs)
-    if not 1 <= p <= t or len(beta) != t:
-        raise ValueError("index p must lie between 1 and the number of runs")
-    head, tail = beta[:p], beta[p - 1 :]
-    head_rf, tail_rf = _prefix_form(rf, p), _suffix_form(rf, p)
-    return head == left_shifted(head_rf, head_rf.expand_presentation(head)) and (
-        tail == right_shifted(tail_rf, tail_rf.expand_presentation(tail))
-    )
-
-
-def p_shifted(rf: ReducedForm, v: Word, p: int) -> ExpPresentation:
-    """Deterministic p-shifted presentation of v.
-
-    Start from the left-shifted presentation (whose first p coordinates are
-    automatically left-shifted for their own expansion) and right-shift the
-    coordinates from p on. When the result has beta_p >= 1 it is the unique
-    p-shifted presentation; when beta_p = 0 it is this construction's
-    representative.
-    """
-    t = len(rf.runs)
-    if not 1 <= p <= t:
-        raise ValueError("index p must lie between 1 and the number of runs")
-    beta = list(left_shifted(rf, v))
-    tail_rf = _suffix_form(rf, p)
-    tail = right_shifted(tail_rf, tail_rf.expand_presentation(tuple(beta[p - 1 :])))
-    beta[p - 1 :] = tail
-    result = tuple(beta)
-    if not is_p_shifted(rf, result, p):
-        raise RuntimeError(f"p-shift construction failed for {rf.runs}, {v}, p={p}")
-    return result
-
-
 def xi(n: int) -> int:
     """Parity flip: n+1 for even n, n-1 for odd n. An involution."""
     if n < 0:
         raise ValueError("xi is defined on nonnegative integers")
     return n + 1 if n % 2 == 0 else n - 1
-
-
-def height(beta: ExpPresentation, rf: ReducedForm, t: int) -> int:
-    """Minimal index k in 1..t with beta_k <= alpha_k - 1, else t.
-
-    Requires alpha_1, ..., alpha_{t-1} even and beta <= alpha coordinatewise.
-    """
-    alpha = rf.exponents
-    if not 1 <= t <= len(alpha):
-        raise ValueError("index t must lie between 1 and the number of runs")
-    if any(alpha[i] % 2 for i in range(t - 1)):
-        raise ValueError("exponents before index t must all be even")
-    if len(beta) != len(alpha) or any(
-        b < 0 or b > a for b, a in zip(beta, alpha)
-    ):
-        raise ValueError("beta must satisfy 0 <= beta <= alpha coordinatewise")
-    for k in range(t):
-        if beta[k] <= alpha[k] - 1:
-            return k + 1
-    return t

@@ -16,8 +16,10 @@ from hypothesis import settings
 
 import wordcomplex
 from wordcomplex import morse
-from wordcomplex.complexes import DeltaComplex, elementary_collapse, free_pairs
-from wordcomplex.words import Word, distinct_subwords, left_shifted, reduced_form
+from wordcomplex.complexes import DeltaComplex, free_pairs
+from wordcomplex.words import Word, distinct_subwords, reduced_form
+
+from reference import elementary_collapse, left_shifted, without
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -270,7 +272,7 @@ def reversed_complex(X) -> DeltaComplex:
 
 def skeleton_for_matching(X, matching) -> DeltaComplex:
     """X less the critical cells of a matching, as a complex of its own."""
-    return X.without(X.id_of_label[c] for c in matching.critical)
+    return without(X, (X.id_of_label[c] for c in matching.critical))
 
 
 def locality_by_covers(X, matching) -> bool:
@@ -299,7 +301,7 @@ def locality_by_covers(X, matching) -> bool:
 
 
 def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
-    """The reduction that makes a new complex at every step: X.without after
+    """The reduction that makes a new complex at every step: without after
     a delete or contract step, the reversed complex after a flip, each order
     checked on the complex in hand with nothing counted as collapsed."""
     word = current = X.labels[X.cells(X.dim)[0]]
@@ -326,7 +328,7 @@ def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
         pairs = tuple(p for p in matching.pairs if p[0] != morse.EMPTY)
         if not morse.validate_collapsing_order(X, pairs).valid:
             raise RuntimeError(f"collapsing order invalid for {current}")
-        X = X.without(X.id_of_label[u] for pair in pairs for u in pair)
+        X = without(X, (X.id_of_label[u] for pair in pairs for u in pair))
         if set(X.id_of_label) != distinct_subwords(after):
             raise RuntimeError(f"removed cells of {current} do not leave {after}")
         steps.append(step)

@@ -1,17 +1,16 @@
+import json
+from importlib import resources
+
 import pytest
 
 from wordcomplex import complexes as C
 from wordcomplex.complexes import (
     barycentric_subdivide,
     build,
-    elementary_collapse,
-    empty_complex,
     free_pairs,
     incidence,
-    is_isomorphic,
     is_pseudomanifold,
     is_simplicial,
-    join,
     to_dot,
     to_json_dict,
 )
@@ -25,6 +24,7 @@ from wordcomplex.words import (
 )
 
 from conftest import collapse_all, complex_by_slicing, incidence_by_signs
+from reference import elementary_collapse, empty_complex, is_isomorphic, join, without
 
 
 def w(text):
@@ -236,8 +236,8 @@ def test_elementary_collapse_rejects_invalid_pairs():
     Z = build(w("abc"))
     with pytest.raises(ValueError, match=r"\(2\)"):
         # b is also a face of bc
-        Z2 = Z.without(
-            {Z.id_of_label[w("abc")], Z.id_of_label[w("ac")]}
+        Z2 = without(
+            Z, {Z.id_of_label[w("abc")], Z.id_of_label[w("ac")]}
         )
         elementary_collapse(Z2, Z2.id_of_label[w("b")], Z2.id_of_label[w("ab")])
 
@@ -349,3 +349,22 @@ def test_dot_export_multiplicities():
     assert "digraph" in dot
     assert '[label="2"]' in dot  # the edge hits its vertex twice
     assert 'aa (dim 1)' in dot
+
+
+def test_exports_of_letters_past_z():
+    # a letter id past z has no spelling: the name falls back to repr, the
+    # JSON writes no subword for any cell that holds it, the DOT its tuple
+    jsonschema = pytest.importorskip("jsonschema")
+    X = build((0, 26, 0))
+    assert X.name == repr((0, 26, 0))
+    data = to_json_dict(X)
+    schema = resources.files("wordcomplex") / "schemas" / "complex.schema.json"
+    jsonschema.validate(data, json.loads(schema.read_text()))
+    subwords = {X.labels[c["id"]]: c["subword"] for c in data["cells"]}
+    assert subwords == {
+        u: None if 26 in u else "".join("ab"[a] for a in u) for u in X.labels.values()
+    }
+    dot = to_dot(X)
+    assert 'label="(26,) (dim 0)"' in dot
+    assert 'label="(0, 26, 0) (dim 2)"' in dot
+    assert 'label="aa (dim 1)"' in dot

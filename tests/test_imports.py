@@ -1,5 +1,7 @@
-"""The library's imports: every module-level import of a library module is
-used by that module, and importing the command line loads no pool module."""
+"""The library's imports and names: every module-level import of a library
+module is used by that module, every module-level function is named by the
+library outside its own body, and importing the command line loads no pool
+module."""
 
 import ast
 import subprocess
@@ -58,6 +60,54 @@ def test_library_modules_use_every_import():
     assert SOURCES
     unused = {p.name: unused_imports(p.read_text()) for p in SOURCES}
     assert not any(unused.values()), unused
+
+
+def unnamed_functions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions, as module.function, that no module of
+    sources names outside the function's own definition.
+
+    A name counts when a statement loads it or reads an attribute of that
+    name, so the check cannot tell a function from anything else called
+    the same: a function named like a method of another type passes (join,
+    as str.join reads), and so does one that shares its name with a local
+    variable or a parameter.
+    """
+    statements = {
+        (module, i): (
+            node,
+            used_names(node)
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)},
+        )
+        for module, source in sources.items()
+        for i, node in enumerate(ast.parse(source).body)
+    }
+    unnamed = []
+    for (module, i), (node, _) in statements.items():
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not any(
+            node.name in names
+            for key, (_, names) in statements.items()
+            if key != (module, i)
+        ):
+            unnamed.append(f"{module}.{node.name}")
+    return unnamed
+
+
+def test_the_checker_sees_an_unnamed_function():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef spare():\n    return spare()\n",
+        "b": "from a import used\n\nx = used()\n",
+        "c": "def method_named():\n    pass\n\ny = ''.method_named\n",
+    }
+    assert unnamed_functions(sources) == ["a.spare"]
+
+
+def test_library_names_every_function():
+    # a function only the tests call is a second route; it lives in
+    # tests/reference.py, not in the library
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unnamed_functions(sources) == []
 
 
 def test_importing_the_cli_loads_no_pool_module():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcomplex import complexes, morse
-from wordcomplex.complexes import DeltaComplex, build, elementary_collapse
+from wordcomplex.complexes import DeltaComplex, build
 from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
     EMPTY,
@@ -17,7 +17,6 @@ from wordcomplex.morse import (
     alternating_matching,
     full_matching,
     matching_report,
-    mu,
     reduce_step,
     reduce_to_core,
     validate_collapsing_order,
@@ -28,11 +27,6 @@ from wordcomplex.words import (
     enumerate_canonical_words,
     format_word,
     fundamental_subword,
-    height,
-    is_p_shifted,
-    is_subword,
-    left_shifted,
-    p_shifted,
     parse_word,
     reduced_form,
 )
@@ -44,6 +38,16 @@ from conftest import (
     reversed_complex,
     skeleton_for_matching,
     upward_closed_by_search,
+)
+from reference import (
+    elementary_collapse,
+    height,
+    is_p_shifted,
+    is_subword,
+    left_shifted,
+    mu,
+    p_shifted,
+    without,
 )
 
 
@@ -375,7 +379,7 @@ def test_validate_counts_collapsed_cells_as_removed():
             S = frozenset(
                 skeleton.id_of_label[u] for pair in done for u in pair if u != EMPTY
             )
-            less = skeleton.without(S)
+            less = without(skeleton, S)
             orders = [rest, rest[::-1]]
             for _ in range(3):
                 orders.append(tuple(rng.sample(rest, len(rest))))
@@ -520,7 +524,7 @@ def with_stray_vertex(X):
 def test_reduce_to_core_rejects_a_complex_not_the_words():
     X = build(w("abab"))
     with pytest.raises(ValueError, match="one top cell"):
-        reduce_to_core(X.without(X.cells(3)))  # four top cells
+        reduce_to_core(without(X, X.cells(3)))  # four top cells
     # the word's complex with a stray vertex: the start check refuses it
     with pytest.raises(RuntimeError, match="not the subwords"):
         reduce_to_core(with_stray_vertex(X))
@@ -640,6 +644,12 @@ def test_alternating_matching_critical_cells():
             assert m.critical == ()
 
 
+def test_rule_matching_json_tags_each_pair_with_its_rule():
+    for n in range(1, 13):
+        m = alternating_matching(n)
+        assert [p["rule"] for p in m.to_json()["pairs"]] == list(m.rules), n
+
+
 def test_alternating_collapse_runs():
     for n in range(1, 13):
         run = alternating_collapse(n)
@@ -653,18 +663,20 @@ def test_alternating_collapse_runs():
 
 
 def test_alternating_collapse_drops_cells_once(monkeypatch):
-    calls = []
-    without = DeltaComplex.without
+    made = []
+    init = DeltaComplex.__init__
 
-    def counting_without(self, removed):
-        calls.append(removed)
-        return without(self, removed)
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
-    monkeypatch.setattr(DeltaComplex, "without", counting_without)
+    monkeypatch.setattr(DeltaComplex, "__init__", counting_init)
     alternating_collapse(9)
     # the pairs are dropped from the one built complex, and the terminal
     # labels are read from its live cells: no subcomplex is made
-    assert not calls
+    assert len(made) == 1
+    assert made[0].name == format_word(alt_word(9))
+    assert set(made[0].id_of_label) == distinct_subwords(alt_word(9))
 
 
 def test_alternating_collapse_replays_as_elementary_collapses():
