@@ -12,6 +12,7 @@ collapses on copied subcomplexes) live in tests/reference.py.
 """
 
 from .complexes import (
+    Collapsing,
     DeltaComplex,
     barycentric_subdivide,
     build,
@@ -54,6 +55,7 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Collapsing",
     "DeltaComplex",
     "HomologyProfile",
     "HomotopyType",

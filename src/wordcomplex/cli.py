@@ -183,41 +183,41 @@ def cmd_morse(args) -> int:
     return 0 if ok else FAILURE
 
 
-def _is_alternating(word: words.Word) -> bool:
-    return words.canonicalize(word) == morse.alt_word(len(word))
+def _spelled_in(word: words.Word, run: morse.CollapseRun) -> morse.CollapseRun:
+    """The collapse of alt(len(word)) with each letter spelled as the letter
+    of word it renames, undoing canonicalize."""
+    letters = tuple(dict.fromkeys(word))
+
+    def spell(u: words.Word) -> words.Word:
+        return tuple(letters[a] for a in u)
+
+    steps = tuple(
+        morse.CollapseStep(spell(s.sigma), spell(s.tau), s.rule) for s in run.steps
+    )
+    terminal = frozenset(map(spell, run.terminal_cells))
+    return morse.CollapseRun(word, steps, run.core and spell(run.core), terminal)
 
 
 def cmd_collapse(args) -> int:
     word = _parse_word_arg(args.word, args.force)
-    if _is_alternating(word):
-        run = morse.alternating_collapse(len(word))
-        payload = {
-            "word": words.format_word(word),
-            "mode": "alternating",
-            "alternating": run.to_json(),
-            "reduction": None,
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"alternating collapse of {payload['word']}:")
-            for s in run.steps:
-                print(
-                    f"  collapse ({words.format_word(s.sigma)}, "
-                    f"{words.format_word(s.tau)}) by rule {s.rule}"
-                )
-            target = run.core and words.format_word(run.core)
-            print(f"terminal: {target or 'point'}")
-        return 0
-    trace = morse.reduce_to_core(complexes.build(word))
+    run = trace = None
+    if words.canonicalize(word) == morse.alt_word(len(word)):
+        run = _spelled_in(word, morse.alternating_collapse(len(word)))
+    else:
+        trace = morse.reduce_to_core(complexes.build(word))
     payload = {
         "word": words.format_word(word),
-        "mode": "reduction",
-        "alternating": None,
-        "reduction": trace.to_json(),
+        "mode": "alternating" if run else "reduction",
+        "alternating": run and run.to_json(),
+        "reduction": trace and trace.to_json(),
     }
     if args.json:
         _emit_json(payload)
+    elif run:
+        print(f"alternating collapse of {payload['word']}:")
+        for s in payload["alternating"]["steps"]:
+            print(f"  collapse ({s['sigma']}, {s['tau']}) by rule {s['rule']}")
+        print(f"terminal: {payload['alternating']['core'] or 'point'}")
     else:
         print(f"reduction of {payload['word']}:")
         for s in trace.steps:

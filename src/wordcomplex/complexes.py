@@ -1,4 +1,4 @@
-"""Delta-complex gluing data: word complexes, free pairs, subdivision, exports.
+"""Delta-complex gluing data: word complexes, collapses, subdivision, exports.
 
 A complex stores opaque integer cell ids graded by dimension plus a
 codimension-one face table: faces[c][i] is the cell obtained by deleting
@@ -215,7 +215,37 @@ def incidence(X: DeltaComplex, sigma: int, tau: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Free pairs
+# Partly collapsed complexes and free pairs
+
+
+class Collapsing:
+    """X with the removed cells gone, read live and never copied: up[c]
+    counts the deletion slots of live cells that hit c, so a live cell is
+    maximal when it is 0. The counts hold whatever is removed."""
+
+    def __init__(self, X: DeltaComplex, removed: Iterable[int] = ()):
+        self.X = X
+        self.removed: set[int] = set()
+        self.up = {c: len(s) for c, s in X.coface_slots().items()}
+        self.remove(*removed)
+
+    def remove(self, *cells: int) -> None:
+        """Remove each cell not yet removed, so naming one twice is harmless."""
+        for c in cells:
+            if c not in self.removed:
+                self.removed.add(c)
+                for f in self.X.faces[c]:
+                    self.up[f] -= 1
+
+    def is_free(self, sigma: int, tau: int) -> bool:
+        """The collapse conditions on the live cells: sigma is hit by one
+        live deletion slot, a deletion of tau, and tau is maximal."""
+        return (
+            self.up[sigma] == 1
+            and self.X.faces[tau].count(sigma) == 1
+            and tau not in self.removed
+            and self.up[tau] == 0
+        )
 
 
 @dataclass(frozen=True)
@@ -226,18 +256,16 @@ class FreePair:
 
 
 def free_pairs(X: DeltaComplex) -> list[FreePair]:
-    """All pairs satisfying the three collapse conditions: sigma is hit by
-    exactly one deletion slot overall, that slot belongs to tau, and tau is
-    maximal."""
-    slots = X.coface_slots()
-    out = []
-    for sigma in X.dim_of:
-        if len(slots[sigma]) != 1:
-            continue
-        tau, i = slots[sigma][0]
-        if slots[tau]:
-            continue
-        out.append(FreePair(sigma, tau, i))
+    """The free pairs of X, with nothing removed: only a maximal tau can
+    have a free face."""
+    view = Collapsing(X)
+    out = [
+        FreePair(sigma, tau, i)
+        for tau, n in view.up.items()
+        if n == 0
+        for i, sigma in enumerate(X.faces[tau])
+        if view.is_free(sigma, tau)
+    ]
     out.sort(key=lambda p: (X.dim_of[p.sigma], _label_key(X.labels[p.sigma])))
     return out
 

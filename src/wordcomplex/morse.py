@@ -18,15 +18,10 @@ uses run p in full, read outward from p in both directions, and the same
 flip capped at the odd run matches them among themselves. Iterating, with
 a reversal when only the last run is odd, drives every word to its
 fundamental subword or to a single letter. Deletion only loses subwords
-and reversal only relabels, so the reduction keeps the word's built complex
-for the whole run, uncopied, and a set of collapsed cells beside it: a step
-validates its matching as a removal order with the collapsed cells counted
-as removed, then adds the matched cells to the set. A flip reads the labels
-backwards from then on and keeps the set. A valid order keeps the collapsed
-set closed upwards, so the live cells stay closed under faces. The labels of
-the live cells are checked against the subwords of the word once before the
-first step and of the shorter word after every step, independently of the
-tuples.
+and reversal only relabels, so the reduction reads the word's built complex,
+uncopied, through one live view (complexes.Collapsing) from which each
+step's order check removes the matched cells: see reduce_to_core. The
+alternating collapses run on such a view too, by its free-pair test.
 
 A valid removal order is an acyclic matching with unit incidence, which
 reduces the chain complex (algebraic Morse theory), and not a sequence of
@@ -35,12 +30,11 @@ elementary collapses: see validate_collapsing_order.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass, field
 from operator import gt
 from typing import Optional
 
-from .complexes import DeltaComplex, build, incidence
+from .complexes import Collapsing, DeltaComplex, build, incidence
 from .words import (
     ExpPresentation,
     ReducedForm,
@@ -205,8 +199,8 @@ def matching_report(X: DeltaComplex, matching: Matching) -> dict[str, bool]:
     of a matching on X.
 
     The pairs and critical cells must name the cells of X and the empty
-    cell, each once. The other keys are read from one order check on X with
-    the critical cells counted as collapsed (incidence on the dimension-
+    cell, each once. The other keys are read from one order check on a view
+    of X with the critical cells removed (incidence on the dimension-
     adjacent pairs, locality as upward closure), so the order is valid
     exactly when all three hold. A pair naming a critical cell or a cell
     outside X raises ValueError.
@@ -226,7 +220,7 @@ def matching_report(X: DeltaComplex, matching: Matching) -> dict[str, bool]:
     named = [u for pair in matching.pairs for u in pair] + list(matching.critical)
     once = len(set(named)) == len(named)
     critical = {X.id_of_label.get(c) for c in matching.critical} - {None}
-    checks = validate_collapsing_order(X, matching.pairs, critical).checks
+    checks = validate_collapsing_order(Collapsing(X, critical), matching.pairs).checks
     return {
         "partition": once and set(named) == X.id_of_label.keys() | {EMPTY},
         "dims": all(c.dims_ok for c in checks),
@@ -256,63 +250,51 @@ class CollapsingOrderReport:
 
 
 def validate_collapsing_order(
-    X: DeltaComplex,
-    pairs: tuple[tuple[Word, Word], ...],
-    collapsed: Set[int] = frozenset(),
+    view: Collapsing, pairs: tuple[tuple[Word, Word], ...]
 ) -> CollapsingOrderReport:
-    """Check a removal order pair by pair: adjacent dimensions, incidence
-    +-1, and everything above sigma already removed. The empty tuple is
-    accepted as a sigma: the augmentation cell, below every cell with
-    incidence one against each vertex.
+    """Check a removal order pair by pair on a partly collapsed complex:
+    adjacent dimensions, incidence +-1, and everything above sigma already
+    removed. The empty tuple is accepted as a sigma: the augmentation cell,
+    below every cell with incidence one against each vertex. Each pair's
+    cells are removed from the view at its turn, whatever its verdict; a
+    pair naming a cell the view has removed already, or a cell outside its
+    complex, raises before any is.
 
     A valid order is an acyclic matching with unit incidence, not a
     sequence of elementary collapses: sigma may be a face of tau more than
     once. The dunce hat aaa passes with (aa, aaa), though all three
     deletions of aaa give aa, so that pair is no elementary collapse.
 
-    The ids in collapsed count as removed before the first pair, as on the
-    subcomplex of X without them, read through the coface table of X; a
-    pair naming one of them, or a cell outside X, raises.
-
-    Only direct cofaces are inspected: those of sigma, and of tau when tau
+    Only direct cofaces are inspected, through the view's live slot counts:
+    those of sigma must all belong to tau, and tau must have none when it
     covers sigma. While every earlier pair has passed, the removed cells
     are closed upwards, so this decides the same as a search of sigma's
     whole up-set, up to and including the first failing pair.
     """
+    X, up = view.X, view.up
     ids = X.id_of_label
     for s, t in pairs:
         named = [ids.get(u) for u in ((t,) if s == EMPTY else (s, t))]
-        if None in named or not collapsed.isdisjoint(named):
+        if None in named or not view.removed.isdisjoint(named):
             raise ValueError(f"pair ({s}, {t}) names cells outside the live complex")
-    slots = X.coface_slots()
-    removed_ids: set[int] = set(collapsed)
     checks = []
-    valid = True
     for s, t in pairs:
         tid = ids[t]
         if s == EMPTY:
             dims_ok = X.dim_of[tid] == 0
             inc = 1 if dims_ok else 0
+            up_ok = X.dim_of.keys() - view.removed <= {tid}
         else:
             sid = ids[s]
             dims_ok = X.dim_of[sid] == X.dim_of[tid] - 1
             inc = incidence(X, sid, tid) if dims_ok else 0
-        incidence_ok = abs(inc) == 1
-
-        if s == EMPTY:
-            up_ok = X.dim_of.keys() - removed_ids <= {tid}
-        else:
-            covers = {c for c, _ in slots[sid]}
-            up_ok = covers - removed_ids <= {tid} and (
-                tid not in covers or removed_ids.issuperset(c for c, _ in slots[tid])
-            )
-
-        checks.append(PairCheck(s, t, dims_ok, inc, incidence_ok, up_ok))
-        valid = valid and checks[-1].ok
-        if s != EMPTY:
-            removed_ids.add(sid)
-        removed_ids.add(tid)
-    return CollapsingOrderReport(tuple(checks), valid)
+            hits = X.faces[tid].count(sid)  # the deletions of tau that give sigma
+            live_hits = 0 if tid in view.removed else hits
+            up_ok = up[sid] == live_hits and (not hits or up[tid] == 0)
+            view.remove(sid)
+        checks.append(PairCheck(s, t, dims_ok, inc, abs(inc) == 1, up_ok))
+        view.remove(tid)
+    return CollapsingOrderReport(tuple(checks), all(c.ok for c in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +374,15 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     The terminal word is the fundamental subword of a spherical input
     (every terminal exponent even) or a single letter otherwise.
 
-    The reduction keeps X, uncopied, and a set of collapsed cell ids, and
-    makes no complex. Each step validates its matching as a removal order
-    on X with the collapsed cells counted as removed (an acyclic matching
-    with unit incidence, see validate_collapsing_order), then adds the
-    matched cells to the set. A valid order removes a cell only once its
-    cofaces are gone (bar tau for sigma), so the live cells stay closed
-    under faces: they form the subcomplex of X without the collapsed set.
+    The reduction reads X, uncopied, through one live view for the whole
+    run, and makes no complex. Each step validates its matching as a
+    removal order on the view (an acyclic matching with unit incidence, see
+    validate_collapsing_order), which removes the matched cells. A valid
+    order removes a cell only once its cofaces are gone (bar tau for
+    sigma), so the live cells stay closed under faces: they form the
+    subcomplex of X without the removed cells.
 
-    A flip reverses the live labels and keeps the collapsed set; later pairs
+    A flip reverses the live labels and keeps the view; later pairs
     are read backwards to be looked up in X. Reversal keeps the cell ids and
     cofaces and moves deletion i of a d-cell to d - i, changing an incidence
     only by (-1)^d, so X gives each pair the reversed complex's verdicts.
@@ -416,7 +398,7 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     live = set(X.id_of_label)
     if live != distinct_subwords(word):
         raise RuntimeError(f"the cells of the complex are not the subwords of {word}")
-    collapsed: set[int] = set()
+    view = Collapsing(X)
     backwards = False  # whether the current word reads the labels of X reversed
     steps: list[ReductionStep] = []
     while True:
@@ -445,11 +427,10 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
         matched = {u for pair in pairs for u in pair}
         if backwards:
             pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
-        report = validate_collapsing_order(X, pairs, collapsed)
+        report = validate_collapsing_order(view, pairs)
         if not report.valid:
             bad = [c for c in report.checks if not c.ok]
             raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
-        collapsed.update(X.id_of_label[u] for pair in pairs for u in pair)
         live -= matched
         if live != distinct_subwords(after):
             raise RuntimeError(f"removed cells of {current} do not leave {after}")
@@ -590,54 +571,41 @@ def alternating_collapse(n: int) -> CollapseRun:
         raise RuntimeError(f"unexpected critical cells {matching.critical}")
 
     if core:
-        core_cells = distinct_subwords(core)
-        keep = set(core_cells)
+        keep = set(distinct_subwords(core))
         for s, t in matching.pairs:
             if s != EMPTY and (s in keep) != (t in keep):
                 raise RuntimeError(f"rule pair ({s}, {t}) straddles the core")
     else:
         keep = {w[:1]}  # the base vertex survives
 
-    rule_of = {p: r for p, r in zip(matching.pairs, matching.rules)}
     pending = [
-        (s, t)
-        for s, t in matching.pairs
+        CollapseStep(s, t, rule)
+        for (s, t), rule in zip(matching.pairs, matching.rules)
         if s != EMPTY and s not in keep and t not in keep
     ]
 
     # A pair can only be collapsed once its cells are free, which may force
     # another pair of the same dimension to go first; scheduling greedily
     # (highest dimension first, rescanning after progress) finds the order.
-    # The collapses run on the one complex: a coface slot is live while its
-    # cell is not yet removed, and the conditions of an elementary collapse
-    # read the live slots only.
+    # The collapses run on the one complex, read live.
     X = build(w)
-    ids = X.id_of_label
-    slots = X.coface_slots()
-    removed: set[int] = set()
-
-    def live(c: int) -> list[tuple[int, int]]:
-        return [slot for slot in slots[c] if slot[0] not in removed]
-
+    view = Collapsing(X)
     steps = []
     while pending:
-        progressed = False
         waiting = []
-        for s, t in pending:
-            sid, tid = ids[s], ids[t]
-            up = live(sid)
-            if len(up) == 1 and up[0][0] == tid and not live(tid):
-                removed |= {sid, tid}
-                steps.append(CollapseStep(s, t, rule_of[(s, t)]))
-                progressed = True
+        for step in pending:
+            sid, tid = X.id_of_label[step.sigma], X.id_of_label[step.tau]
+            if view.is_free(sid, tid):
+                view.remove(sid, tid)
+                steps.append(step)
             else:
-                waiting.append((s, t))
-        pending = waiting
-        if pending and not progressed:
+                waiting.append(step)
+        if len(waiting) == len(pending):
             raise RuntimeError(
                 f"collapse of alt({n}) is stuck with {len(pending)} pairs pending"
             )
-    terminal = frozenset(X.labels[c] for c in X.dim_of if c not in removed)
+        pending = waiting
+    terminal = frozenset(X.labels[c] for c in X.dim_of.keys() - view.removed)
     if terminal != frozenset(keep):
         raise RuntimeError(f"collapse of alt({n}) left {sorted(terminal)}")
     return CollapseRun(w, tuple(steps), core, terminal)

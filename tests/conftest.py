@@ -16,7 +16,7 @@ from hypothesis import settings
 
 import wordcomplex
 from wordcomplex import morse
-from wordcomplex.complexes import DeltaComplex, free_pairs
+from wordcomplex.complexes import Collapsing, DeltaComplex, free_pairs
 from wordcomplex.words import Word, distinct_subwords, reduced_form
 
 from reference import elementary_collapse, left_shifted, without
@@ -326,7 +326,7 @@ def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
             after = current[:1]
             step = morse.ReductionStep("contract", current, after, None, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != morse.EMPTY)
-        if not morse.validate_collapsing_order(X, pairs).valid:
+        if not morse.validate_collapsing_order(Collapsing(X), pairs).valid:
             raise RuntimeError(f"collapsing order invalid for {current}")
         X = without(X, (X.id_of_label[u] for pair in pairs for u in pair))
         if set(X.id_of_label) != distinct_subwords(after):

@@ -7,7 +7,12 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from wordcomplex.cli import main
-from wordcomplex.words import enumerate_canonical_words, format_word
+from wordcomplex.words import (
+    distinct_subwords,
+    enumerate_canonical_words,
+    format_word,
+    parse_word,
+)
 
 
 def run(capsys, *argv):
@@ -147,6 +152,28 @@ def test_collapse_command_modes(capsys):
     validate(payload, "collapse")
     assert payload["mode"] == "reduction"
     assert payload["reduction"]["terminal"] == "a"
+
+    # an alternating word in other letters: every cell named, in JSON and
+    # in text, is a subword of the word given, not of its canonical form
+    for text, core in (("cdc", "cc"), ("baba", None)):
+        subwords = {format_word(u) for u in distinct_subwords(parse_word(text))}
+        code, payload, _ = run_json(capsys, "collapse", text)
+        assert code == 0
+        validate(payload, "collapse")
+        alternating = payload["alternating"]
+        assert alternating["word"] == text and alternating["core"] == core
+        named = [u for s in alternating["steps"] for u in (s["sigma"], s["tau"])]
+        named += alternating["terminal_cells"] + [text] + [core] * bool(core)
+        assert named and set(named) <= subwords, (text, named)
+
+        code, out, _ = run(capsys, "collapse", text)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"alternating collapse of {text}:"
+        for line in lines[1:-1]:
+            cells = line.split("(")[1].split(")")[0].split(", ")
+            assert set(cells) <= subwords, (text, line)
+        assert lines[-1] == f"terminal: {core or 'point'}"
 
 
 def test_subdivide_command(capsys):

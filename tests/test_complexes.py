@@ -5,6 +5,7 @@ import pytest
 
 from wordcomplex import complexes as C
 from wordcomplex.complexes import (
+    Collapsing,
     barycentric_subdivide,
     build,
     free_pairs,
@@ -15,6 +16,7 @@ from wordcomplex.complexes import (
     to_json_dict,
 )
 from wordcomplex.homology import reduced_homology
+from wordcomplex.morse import EMPTY, alt_word, alternating_collapse, reduce_to_core
 from wordcomplex.words import (
     canonicalize,
     distinct_subwords,
@@ -245,6 +247,58 @@ def test_elementary_collapse_rejects_invalid_pairs():
 def test_collapse_all_alternating_four():
     terminal = collapse_all(build(w("abab")))
     assert terminal.n_cells == 1
+
+
+def removal_orders(X):
+    """The (sigma, tau) id pairs that reduce_to_core and, on an alternating
+    word, alternating_collapse remove from the word's complex X, in order."""
+    ids = X.id_of_label
+    word = X.labels[X.cells(X.dim)[0]]
+    orders = []
+    if word == alt_word(len(word)):
+        steps = alternating_collapse(len(word)).steps
+        orders.append([(ids[s.sigma], ids[s.tau]) for s in steps])
+    order, backwards = [], False
+    for step in reduce_to_core(X).steps:
+        backwards ^= step.kind == "flip"
+        for s, t in step.matching.pairs if step.matching else ():
+            if s != EMPTY:
+                if backwards:
+                    s, t = s[::-1], t[::-1]
+                order.append((ids[s], ids[t]))
+    orders.append(order)
+    return orders
+
+
+def test_collapsing_view_agrees_with_a_recount():
+    # after each pair of the reduction's and the alternating collapse's
+    # orders, the live slot counts equal a recount of the coface table, and
+    # the free-pair test agrees with an elementary collapse on the copied
+    # subcomplex of the live cells, on every live sigma under any tau of the
+    # next dimension (a removed tau is in no collapse)
+    checked = 0
+    for word in enumerate_canonical_words(6, 3):
+        X = build(word)
+        slots = X.coface_slots()
+        for order in removal_orders(X):
+            view = Collapsing(X)
+            for sigma, tau in [(None, None)] + order:
+                if sigma is not None:
+                    view.remove(sigma, tau)
+                live = X.dim_of.keys() - view.removed
+                recount = {c: sum(f in live for f, _ in slots[c]) for c in X.dim_of}
+                assert view.up == recount, (word, sigma, tau)
+                Y = without(X, view.removed)
+                for t in X.dim_of:
+                    for s in Y.cells(X.dim_of[t] - 1):
+                        try:
+                            elementary_collapse(Y, s, t)
+                            collapses = True
+                        except ValueError:
+                            collapses = False
+                        assert view.is_free(s, t) == collapses, (word, s, t)
+                        checked += collapses
+    assert checked
 
 
 def test_collapse_preserves_structure():

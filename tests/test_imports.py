@@ -1,7 +1,7 @@
 """The library's imports and names: every module-level import of a library
 module is used by that module, every module-level function is named by the
-library outside its own body, and importing the command line loads no pool
-module."""
+library outside its own body, only complexes reads the coface table, and
+importing the command line loads no pool module."""
 
 import ast
 import subprocess
@@ -108,6 +108,20 @@ def test_library_names_every_function():
     # tests/reference.py, not in the library
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unnamed_functions(sources) == []
+
+
+def test_only_complexes_reads_the_coface_table():
+    # the other modules read a partly collapsed complex through one live
+    # view, complexes.Collapsing, so no module keeps its own removed cells
+    readers = []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        names = used_names(tree) | {
+            n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+        }
+        if p.name != "complexes.py" and "coface_slots" in names:
+            readers.append(p.name)
+    assert readers == []
 
 
 def test_importing_the_cli_loads_no_pool_module():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcomplex import complexes, morse
-from wordcomplex.complexes import DeltaComplex, build
+from wordcomplex.complexes import Collapsing, DeltaComplex, build
 from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
     EMPTY,
@@ -180,7 +180,7 @@ def test_full_matching_report_and_order():
         report = matching_report(X, m)
         assert all(report.values()), (word, report)
         skeleton = skeleton_for_matching(X, m)
-        assert validate_collapsing_order(skeleton, m.pairs).valid, word
+        assert validate_collapsing_order(Collapsing(skeleton), m.pairs).valid, word
 
 
 def test_full_matching_tuples_are_left_shifted(named_tuples):
@@ -303,28 +303,29 @@ def test_order_check_accepts_a_pair_that_is_no_elementary_collapse():
     X = build(w("aaa"))
     aa, aaa = X.id_of_label[w("aa")], X.id_of_label[w("aaa")]
     assert X.faces[aaa] == (aa, aa, aa)
-    assert validate_collapsing_order(X, ((w("aa"), w("aaa")),)).valid
+    assert validate_collapsing_order(Collapsing(X), ((w("aa"), w("aaa")),)).valid
     with pytest.raises(ValueError, match="3 deletions of tau hit sigma"):
         elementary_collapse(X, aa, aaa)
+    assert not Collapsing(X).is_free(aa, aaa)
 
 
 # -- collapsing order validation ---------------------------------------------------
 
 
 def test_validate_empty_order():
-    assert validate_collapsing_order(build(w("aba")), ()).valid
+    assert validate_collapsing_order(Collapsing(build(w("aba"))), ()).valid
 
 
 def test_validate_rejects_foreign_cells():
     with pytest.raises(ValueError):
-        validate_collapsing_order(build(w("aa")), ((w("b"), w("ab")),))
+        validate_collapsing_order(Collapsing(build(w("aa"))), ((w("b"), w("ab")),))
 
 
 def test_dimension_increasing_order_is_invalid():
     m = full_matching(w("aaa"))
     X = build(w("aaa"))
     backwards = tuple(reversed(m.pairs))
-    report = validate_collapsing_order(X, backwards)
+    report = validate_collapsing_order(Collapsing(X), backwards)
     assert not report.valid
     assert not report.checks[0].upward_closed
 
@@ -333,7 +334,7 @@ def test_order_conditions_reported_per_pair():
     m = full_matching(w("aaaa"))
     X = build(w("aaaa"))
     skeleton = skeleton_for_matching(X, m)
-    report = validate_collapsing_order(skeleton, m.pairs)
+    report = validate_collapsing_order(Collapsing(skeleton), m.pairs)
     assert report.valid
     assert all(c.dims_ok and c.incidence_ok and c.upward_closed for c in report.checks)
     assert report.checks[-1].sigma == EMPTY  # the augmentation pair goes last
@@ -341,8 +342,11 @@ def test_order_conditions_reported_per_pair():
 
 def test_validate_matches_up_set_search():
     # direct cofaces decide as the search of the whole up-set does, up to and
-    # including the first failing pair, on valid and invalid orders alike
+    # including the first failing pair, on valid and invalid orders alike;
+    # each order is also tried with an earlier pair named again later, whose
+    # cells must not be counted out twice
     rng = random.Random(5)
+    repeats = random.Random(6)
     invalid = 0
     for word in eligible_words(7, 4):
         m = full_matching(word)
@@ -350,8 +354,12 @@ def test_validate_matches_up_set_search():
         orders = [m.pairs, m.pairs[::-1]]
         for _ in range(3):
             orders.append(tuple(rng.sample(m.pairs, len(m.pairs))))
-        for order in orders:
-            report = validate_collapsing_order(skeleton, order)
+        for order in orders[:]:
+            i = repeats.randrange(len(order))
+            j = repeats.randrange(i + 1, len(order) + 1)
+            orders.append(order[:j] + (order[i],) + order[j:])
+        for k, order in enumerate(orders):
+            report = validate_collapsing_order(Collapsing(skeleton), order)
             searched = upward_closed_by_search(skeleton, order)
             for check, up_ok in zip(report.checks, searched):
                 assert check.upward_closed == up_ok, (word, order)
@@ -361,6 +369,7 @@ def test_validate_matches_up_set_search():
                 c.dims_ok and c.incidence_ok and up_ok
                 for c, up_ok in zip(report.checks, searched)
             ), (word, order)
+            assert report.valid or k != 5, (word, order)  # m.pairs, a pair repeated
             invalid += not report.valid
     assert invalid  # the shuffled orders exercise failing pairs too
 
@@ -384,12 +393,13 @@ def test_validate_counts_collapsed_cells_as_removed():
             for _ in range(3):
                 orders.append(tuple(rng.sample(rest, len(rest))))
             for order in orders:
-                report = validate_collapsing_order(skeleton, order, S)
-                assert report == validate_collapsing_order(less, order), (word, order)
+                report = validate_collapsing_order(Collapsing(skeleton, S), order)
+                less_report = validate_collapsing_order(Collapsing(less), order)
+                assert report == less_report, (word, order)
                 invalid += not report.valid
             for pair in done:
                 with pytest.raises(ValueError):
-                    validate_collapsing_order(skeleton, rest + (pair,), S)
+                    validate_collapsing_order(Collapsing(skeleton, S), rest + (pair,))
     assert invalid  # the shuffled orders exercise failing pairs too
 
 
