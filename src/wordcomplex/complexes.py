@@ -387,7 +387,7 @@ def is_pseudomanifold(X: DeltaComplex) -> bool:
             return False  # not pure: a maximal cell below the top dimension
     ridges = X.cells(d - 1)
     for r in ridges:
-        if len([s for s in slots[r] if X.dim_of[s[0]] == d]) != 2:
+        if len(slots[r]) != 2:
             return False
     top = X.cells(d)
     parent = {c: c for c in top}

@@ -7,15 +7,17 @@ from the face table, and those same columns feed the reduction, its
 certificate and the vanishing of consecutive maps. No dense boundary
 matrix is built; the CSV export writes its rows at the edge.
 
-The reduction is sparse elimination by unit pivots, after Dumas, Saunders
-and Villard, "On efficient sparse integer matrix Smith normal form
-computations" (JSC 2001). The matrix is held as rows of {column: value}
-with a column -> rows index. Each step takes a +-1 entry from the row with
-the fewest entries, clears its column by row operations and its row by
-column operations. The block left when no unit entry remains, if any, is
-finished by the dense minimal-pivot routine alone, and its transforms are
-folded back. No boundary map of a word complex has left such a block yet:
-every matrix of the words of length <= 8 over 4 letters, and of the
+The reduction is one elimination on sparse rows {column: value} with a
+column -> rows index. Its unit phase follows Dumas, Saunders and Villard,
+"On efficient sparse integer matrix Smith normal form computations" (JSC
+2001): each step takes a +-1 entry from the row with the fewest entries,
+clears its column by row operations and its row by column operations. A
+block left with no unit entry goes to the residual phase on the same rows:
+an entry of least absolute value is divided into its column and row with
+remainder, a remainder giving the next pivot, until one stands alone; a
+row with an entry it does not divide is then added to its row, for the
+divisor chain. No boundary map of a word complex has left such a block
+yet: every matrix of the words of length <= 8 over 4 letters, and of the
 benchmark's hard words, reduces by unit pivots alone.
 
 A chain complex is reduced from the top dimension down, with the clearing
@@ -54,16 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import chain
 
 from .complexes import DeltaComplex, deletion_sign
 
-Matrix = list[list[int]]  # dense rows: the residual block and the CSV edge
 Column = dict[int, int]  # index -> nonzero entry
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def boundary_rows(X: DeltaComplex, n: int) -> int:
@@ -95,16 +92,6 @@ def boundary_matrix(X: DeltaComplex, n: int) -> list[Column]:
                 else:
                     del col[i]
     return columns
-
-
-def _combine(columns: list[Column], coeffs: Column) -> Column:
-    """The sum of x * columns[j] over the entries j: x of coeffs."""
-    acc: Column = {}
-    get = acc.get
-    for j, x in coeffs.items():
-        for i, a in columns[j].items():
-            acc[i] = get(i, 0) + x * a
-    return {i: y for i, y in acc.items() if y}
 
 
 def _product_is(columns: list[Column], coeffs: Column, d: int, want: Column) -> bool:
@@ -190,11 +177,12 @@ class SmithNormalForm:
 
 def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
     """Diagonalize the m-row matrix with sparse columns M over the integers
-    by unimodular row and column operations.
+    by unimodular row and column operations, all on the sparse rows.
 
-    Unit pivots are eliminated on sparse rows, each from the row with the
-    fewest entries; a block left with no unit entry is finished by the dense
-    routine and its transforms are folded into the sparse ones."""
+    Unit pivots are eliminated first, each from the row with the fewest
+    entries. The block they leave, if any, is finished by pivots of least
+    absolute value, divided into their column and row with remainder until
+    one stands alone and divides every entry left."""
     n = len(M)
     index = range(n)
     rows: list[Column] = [{} for _ in range(m)]
@@ -204,6 +192,20 @@ def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
             rows[i][j] = x
     U_inv = [{i: 1} for i in range(m)]
     V = [{j: 1} for j in index]
+
+    def add_row(k: int, q: int, p: int) -> None:
+        # r_k += q r_p, keeping where up to date; the caller updates U_inv
+        rk = rows[k]
+        for j, x in rows[p].items():
+            y = rk.get(j, 0) + q * x
+            if y:
+                if j not in rk:
+                    where[j].add(k)
+                rk[j] = y
+            else:
+                del rk[j]
+                where[j].discard(k)
+
     pivots = []  # (row, column)
     queue = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(queue)
@@ -224,21 +226,10 @@ def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
         # sign of u folded in, the diagonal entry is 1 and that column is the
         # pivot's U_inv column, the inverse of the row operations below
         U_inv[p] = {k: rows[k][c] for k in where[c]}
-        # r_k += q r_p clears column c
-        for k in where[c] - {p}:
-            rk = rows[k]
-            q = -u * rk[c]
-            for j, x in row.items():
-                y = rk.get(j, 0) + q * x
-                if y:
-                    if j not in rk:
-                        where[j].add(k)
-                    rk[j] = y
-                else:
-                    del rk[j]
-                    where[j].discard(k)
-            if rk:
-                heappush(queue, (len(rk), k))
+        for k in where[c] - {p}:  # clear column c
+            add_row(k, -u * rows[k][c], p)
+            if rows[k]:
+                heappush(queue, (len(rows[k]), k))
         # c_l += q c_c clears row p and, column c being zero off the pivot
         # now, changes no other entry
         for l, x in row.items():
@@ -247,142 +238,65 @@ def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
                 _add_multiple(V[l], -u * x, V[c])
         rows[p] = {}
         pivots.append((p, c))
-
-    rest_rows = [i for i, row in enumerate(rows) if row]
-    rest_cols = sorted({j for i in rest_rows for j in rows[i]})
-    diagonal = (1,) * len(pivots)
-    if rest_rows:
-        fix = _dense_snf([[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows])
-        diagonal += fix.diagonal
-        for lines, rest, cols in ((U_inv, rest_rows, fix.U_inv), (V, rest_cols, fix.V)):
-            folded = [_combine(lines, {rest[s]: x for s, x in col.items()}) for col in cols]
-            for i, col in zip(rest, folded):
-                lines[i] = col
     unit_rows = tuple(p for p, _ in pivots)
-    lead_rows = list(unit_rows) + rest_rows
-    lead_cols = [c for _, c in pivots] + rest_cols
+    diagonal = [1] * len(pivots)
+
+    # The residual block. Each pass records a pivot or leaves a remainder
+    # below its pivot, so the picks shrink and the passes end. A row
+    # operation r_k += q r_p changes U_inv[p] by -q U_inv[k]; it touches only
+    # residual rows, so no unit pivot's U_inv column changes.
+    while True:
+        least = min(
+            ((abs(x), i, j) for i, row in enumerate(rows) for j, x in row.items()),
+            default=None,
+        )
+        if least is None:
+            break
+        _, p, c = least
+        row = rows[p]
+        x = row[c]
+        for k in sorted(where[c] - {p}):  # divide column c, by row operations
+            q = rows[k][c] // x
+            add_row(k, -q, p)
+            _add_multiple(U_inv[p], q, U_inv[k])
+        if len(where[c]) > 1:
+            continue  # a remainder: pick again
+        while True:  # divide row p, by column operations
+            for l, y in list(row.items()):
+                q = 0 if l == c else y // x
+                if q:
+                    _add_multiple(V[l], -q, V[c])
+                    if y == q * x:
+                        del row[l]
+                        where[l].discard(p)
+                    else:
+                        row[l] = y - q * x
+            if len(row) > 1:
+                break  # a remainder: pick again
+            k = next((k for k, rk in enumerate(rows) if any(y % x for y in rk.values())), None)
+            if k is None:
+                if x < 0:
+                    U_inv[p] = {i: -y for i, y in U_inv[p].items()}
+                diagonal.append(abs(x))
+                rows[p] = {}
+                where[c].discard(p)
+                pivots.append((p, c))
+                break
+            # for the divisor chain x must divide every entry left; row k
+            # holds one it does not, which leaves a remainder in row p
+            add_row(p, 1, k)
+            _add_multiple(U_inv[k], -1, U_inv[p])
+
+    lead_rows = [p for p, _ in pivots]
+    lead_cols = [c for _, c in pivots]
     row_order = lead_rows + sorted(set(range(m)).difference(lead_rows))
     col_order = lead_cols + sorted(set(index).difference(lead_cols))
     return SmithNormalForm(
         (m, n),
-        diagonal,
+        tuple(diagonal),
         [U_inv[i] for i in row_order],
         [V[j] for j in col_order],
         unit_rows,
-    )
-
-
-def _sparse_columns(M: Matrix) -> list[Column]:
-    """The nonzero entries of each column of the dense M."""
-    index = range(len(M[0]) if M else 0)
-    columns: list[Column] = [{} for _ in index]
-    for i, row in enumerate(M):
-        for j in compress(index, row):
-            columns[j][i] = row[j]
-    return columns
-
-
-def _dense_snf(M: Matrix) -> SmithNormalForm:
-    """Diagonalize a dense block by the minimal-absolute-value pivot, which
-    limits entry growth."""
-    m = len(M)
-    n = len(M[0]) if M else 0
-    A = [row[:] for row in M]
-    U_inv = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        A[i], A[j] = A[j], A[i]
-        for row in U_inv:  # column swap on the inverse
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src; inverse gets the opposite column operation
-        if not q:
-            return
-        As, Ad = A[src], A[dst]
-        for k in range(n):
-            if As[k]:
-                Ad[k] += q * As[k]
-        for row in U_inv:
-            if row[dst]:
-                row[src] -= q * row[dst]
-
-    def add_col(src, dst, q):
-        if not q:
-            return
-        for row in A:
-            if row[src]:
-                row[dst] += q * row[src]
-        for row in V:
-            if row[src]:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        for row in U_inv:
-            row[i] = -row[i]
-
-    def find_pivot(s):
-        best = None
-        for i in range(s, m):
-            row = A[i]
-            for j in range(s, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
-    s = 0
-    while s < min(m, n):
-        best = find_pivot(s)
-        if best is None:
-            break
-        swap_rows(s, best[1])
-        swap_cols(s, best[2])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, m):
-                if A[i][s]:
-                    add_row(s, i, -(A[i][s] // A[s][s]))
-                    if A[i][s]:  # nonzero remainder: smaller pivot available
-                        swap_rows(s, i)
-                        dirty = True
-            for j in range(s + 1, n):
-                if A[s][j]:
-                    add_col(s, j, -(A[s][j] // A[s][s]))
-                    if A[s][j]:
-                        swap_cols(s, j)
-                        dirty = True
-            if dirty or abs(A[s][s]) == 1:
-                continue  # a unit pivot divides every entry
-            # pivot must divide the remaining block for the divisor chain
-            for i in range(s + 1, m):
-                row = A[i]
-                if any(row[j] % A[s][s] for j in range(s + 1, n)):
-                    add_row(i, s, 1)
-                    dirty = True
-                    break
-        if A[s][s] < 0:
-            negate_row(s)
-        s += 1
-
-    diagonal = tuple(A[i][i] for i in range(s))
-    return SmithNormalForm(
-        (m, n), diagonal, _sparse_columns(U_inv), _sparse_columns(V)
     )
 
 
@@ -431,8 +345,11 @@ def _cleared(M: list[Column], m: int, upper: SmithNormalForm) -> SmithNormalForm
     the second, so V = [cleared columns | unit vectors] blockdiag(I, V_sub)
     with V_sub the reduction of the kept columns alone. It is unimodular:
     the cleared columns are triangular on their pivot rows with +-1 there.
-    Only unit pivots are cleared, because the dense routine's fold leaves
-    their columns alone."""
+    Only unit pivots are cleared: a residual pivot's U_inv column is a
+    boundary only when its factor is 1, and the residual phase's row
+    operations, run both ways between its rows, need not leave it triangular
+    with +-1 on its pivot row. They touch no unit pivot's U_inv column, so
+    the proofs that rest on those columns hold unchanged."""
     units = len(upper.unit_rows)
     cleared = set(upper.unit_rows)
     kept = [j for j in range(len(M)) if j not in cleared]

@@ -382,21 +382,22 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     sigma), so the live cells stay closed under faces: they form the
     subcomplex of X without the removed cells.
 
-    A flip reverses the live labels and keeps the view; later pairs
+    A flip keeps the view and reverses how its labels are read: later pairs
     are read backwards to be looked up in X. Reversal keeps the cell ids and
     cofaces and moves deletion i of a d-cell to d - i, changing an incidence
     only by (-1)^d, so X gives each pair the reversed complex's verdicts.
 
-    The live labels must be the subwords of the word before the first step,
-    so a complex not the word's fails even with no step, and of the shorter
-    word after each step: a second route, sharing nothing with the tuples.
+    The labels of X must be the subwords of the word before the first step,
+    so a complex not the word's fails even with no step, and those of the
+    cells the view keeps live, read backwards after an odd number of flips,
+    the subwords of the shorter word after each step: a second route,
+    sharing nothing with the tuples.
     """
     top = X.cells(X.dim)
     if len(top) != 1:
         raise ValueError("a word's complex has exactly one top cell")
     word = current = X.labels[top[0]]
-    live = set(X.id_of_label)
-    if live != distinct_subwords(word):
+    if X.id_of_label.keys() != distinct_subwords(word):
         raise RuntimeError(f"the cells of the complex are not the subwords of {word}")
     view = Collapsing(X)
     backwards = False  # whether the current word reads the labels of X reversed
@@ -413,7 +414,6 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             flipped = current[::-1]
             steps.append(ReductionStep("flip", current, flipped, None, None))
             current, backwards = flipped, not backwards
-            live = {u[::-1] for u in live}
             continue
         elif alpha[0] == 1:
             break  # single letter
@@ -424,15 +424,15 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             after = current[:1]
             step = ReductionStep("contract", current, after, None, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
-        matched = {u for pair in pairs for u in pair}
         if backwards:
             pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
         report = validate_collapsing_order(view, pairs)
         if not report.valid:
             bad = [c for c in report.checks if not c.ok]
             raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
-        live -= matched
-        if live != distinct_subwords(after):
+        live = {X.labels[c] for c in X.dim_of.keys() - view.removed}
+        survivors = distinct_subwords(after)
+        if live != ({u[::-1] for u in survivors} if backwards else survivors):
             raise RuntimeError(f"removed cells of {current} do not leave {after}")
         steps.append(step)
         current = after

@@ -11,10 +11,11 @@ that only tests called are functions here, taking the instance first.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 from wordcomplex.complexes import DeltaComplex, _label_key
-from wordcomplex.homology import HomologyProfile
+from wordcomplex.homology import Column, HomologyProfile, SmithNormalForm
 from wordcomplex.morse import _mu_formula
 from wordcomplex.words import ExpPresentation, ReducedForm, Word
 
@@ -394,3 +395,128 @@ def is_isomorphic(X: DeltaComplex, Y: DeltaComplex) -> bool:
 
 def profile_reduced_euler(p: HomologyProfile) -> int:
     return sum((-1) ** n * b for n, (b, _) in enumerate(p.groups))
+
+
+# A dense minimal-pivot Smith normal form, the second route of the sparse
+# engine on matrices it is known to finish: on a block with no unit entry
+# its entries can grow so fast that it does not finish in practice.
+
+Matrix = list[list[int]]
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _sparse_columns(M: Matrix) -> list[Column]:
+    """The nonzero entries of each column of the dense M."""
+    index = range(len(M[0]) if M else 0)
+    columns: list[Column] = [{} for _ in index]
+    for i, row in enumerate(M):
+        for j in compress(index, row):
+            columns[j][i] = row[j]
+    return columns
+
+
+def dense_snf(M: Matrix) -> SmithNormalForm:
+    """Diagonalize a dense block by the minimal-absolute-value pivot, which
+    limits entry growth."""
+    m = len(M)
+    n = len(M[0]) if M else 0
+    A = [row[:] for row in M]
+    U_inv = identity_matrix(m)
+    V = identity_matrix(n)
+
+    def swap_rows(i, j):
+        if i == j:
+            return
+        A[i], A[j] = A[j], A[i]
+        for row in U_inv:  # column swap on the inverse
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        if i == j:
+            return
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src; inverse gets the opposite column operation
+        if not q:
+            return
+        As, Ad = A[src], A[dst]
+        for k in range(n):
+            if As[k]:
+                Ad[k] += q * As[k]
+        for row in U_inv:
+            if row[dst]:
+                row[src] -= q * row[dst]
+
+    def add_col(src, dst, q):
+        if not q:
+            return
+        for row in A:
+            if row[src]:
+                row[dst] += q * row[src]
+        for row in V:
+            if row[src]:
+                row[dst] += q * row[src]
+
+    def negate_row(i):
+        A[i] = [-x for x in A[i]]
+        for row in U_inv:
+            row[i] = -row[i]
+
+    def find_pivot(s):
+        best = None
+        for i in range(s, m):
+            row = A[i]
+            for j in range(s, n):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
+
+    s = 0
+    while s < min(m, n):
+        best = find_pivot(s)
+        if best is None:
+            break
+        swap_rows(s, best[1])
+        swap_cols(s, best[2])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(s + 1, m):
+                if A[i][s]:
+                    add_row(s, i, -(A[i][s] // A[s][s]))
+                    if A[i][s]:  # nonzero remainder: smaller pivot available
+                        swap_rows(s, i)
+                        dirty = True
+            for j in range(s + 1, n):
+                if A[s][j]:
+                    add_col(s, j, -(A[s][j] // A[s][s]))
+                    if A[s][j]:
+                        swap_cols(s, j)
+                        dirty = True
+            if dirty or abs(A[s][s]) == 1:
+                continue  # a unit pivot divides every entry
+            # pivot must divide the remaining block for the divisor chain
+            for i in range(s + 1, m):
+                row = A[i]
+                if any(row[j] % A[s][s] for j in range(s + 1, n)):
+                    add_row(i, s, 1)
+                    dirty = True
+                    break
+        if A[s][s] < 0:
+            negate_row(s)
+        s += 1
+
+    diagonal = tuple(A[i][i] for i in range(s))
+    return SmithNormalForm(
+        (m, n), diagonal, _sparse_columns(U_inv), _sparse_columns(V)
+    )

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from wordcomplex import homology
 from wordcomplex.complexes import DeltaComplex, build
 from wordcomplex.homology import (
-    _dense_snf,
     boundary_matrix,
     boundary_rows,
     chain_data,
@@ -19,7 +18,7 @@ from wordcomplex.verify import examine_word
 from wordcomplex.words import enumerate_canonical_words, parse_word, predict_homotopy
 
 from conftest import assert_unimodular, columns_of, dense_of, matmul, minors_gcd
-from reference import join, profile_reduced_euler
+from reference import dense_snf, join, profile_reduced_euler
 
 
 def w(text):
@@ -81,6 +80,26 @@ def test_snf_known_matrix():
         ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 4, 624], (2, 2, 156)),
         # the pivot 2 does not divide 3, so the divisor chain needs a fix-up
         ([[2, 0], [0, 3]], [1, 6], (1, 6)),
+        # no unit entry anywhere: the dense routine of tests/reference.py
+        # gives transform entries of 901 bits here
+        (
+            [[6, 35, 2, 12, 9], [2, 35, 0, -15, 10], [-4, 10, 12, 12, 6], [0, 9, 12, 12, 35]],
+            [1, 1, 2, 8],
+            (1, 1, 2, 4),
+        ),
+        # nor here, where the dense routine does not finish: its entries
+        # are 174 bits long by the fourth pivot
+        (
+            [
+                [12, 10, 9, 2, 12, 12],
+                [-4, 9, 10, 35, 12, 9],
+                [9, 12, 9, 12, 9, 9],
+                [6, 6, 6, 2, 0, 12],
+                [35, -4, 9, -4, 6, -15],
+            ],
+            [1, 1, 1, 1, 36],
+            (1, 1, 1, 1, 36),
+        ),
     ]
     for M, divisors, diagonal in cases:
         snf = reduce_dense(M)
@@ -89,6 +108,7 @@ def test_snf_known_matrix():
         assert_unimodular(snf.V)
         assert [minors_gcd(M, k) for k in range(1, len(M) + 1)] == divisors
         assert snf.diagonal == diagonal
+        assert all(abs(x).bit_length() <= 64 for col in snf.U_inv + snf.V for x in col.values())
 
 
 def test_snf_against_minor_gcd_oracle():
@@ -125,6 +145,21 @@ def test_snf_against_sympy():
         expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(M)) if d != 0)
         assert snf.diagonal == expected, M
 
+    # entries with no +-1, so that every pivot comes from the residual phase
+    entries = (0, 0, 2, -4, 6, 9, -15, 10, 35, 12)
+    rng = random.Random(13)
+    for trial in range(20):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        M = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        snf = reduce_dense(M)
+        assert not snf.unit_rows, M
+        snf.check(columns_of(M))
+        assert_unimodular(snf.U_inv)
+        assert_unimodular(snf.V)
+        expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(M)) if d != 0)
+        assert snf.diagonal == expected, M
+
 
 def test_snf_certificates_on_real_boundary_matrices():
     for word in all_words(5):
@@ -136,17 +171,17 @@ def test_snf_certificates_on_real_boundary_matrices():
 
 
 def test_sparse_engine_agrees_with_the_dense_routine():
-    # the dense minimal-pivot routine alone is the second route for every
-    # chain matrix of the canonical words of length <= 6 over 6 letters,
-    # reduced alone and top-down with clearing, each map on the columns its
-    # upper map's unit pivots leave
+    # the dense minimal-pivot routine of tests/reference.py is the second
+    # route for every chain matrix of the canonical words of length <= 6
+    # over 6 letters, reduced alone and top-down with clearing, each map on
+    # the columns its upper map's unit pivots leave
     checked = 0
     for word in all_words(6):
         X = build(word)
         data = chain_data(X)
         for n, (M, cleared) in enumerate(data):
             m = boundary_rows(X, n)
-            dense = _dense_snf(dense_of(M, m)).diagonal
+            dense = dense_snf(dense_of(M, m)).diagonal
             assert smith_normal_form(M, m).diagonal == dense == cleared.diagonal, (word, n)
             checked += 1
         for (M, snf), (_, upper) in zip(data, data[1:]):
@@ -255,14 +290,15 @@ def test_torsion_through_the_whole_chain():
     profile = reduced_homology(X)
     assert profile.groups == ((0, ()), (0, (2,)), (0, ()))
     data = chain_data(X)
-    # d_2 leaves the non-unit block [[2]], which the dense routine finishes
+    # d_2 leaves the non-unit block [[2]], which the residual phase
+    # finishes; the dense routine of tests/reference.py is the second route
     assert [snf.diagonal for _, snf in data] == [(1,), (1,), (1, 2)]
     assert len(data[2][1].unit_rows) == 1
     for n, (M, snf) in enumerate(data):
         snf.check(M)
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
-        assert snf.diagonal == _dense_snf(dense_of(M, boundary_rows(X, n))).diagonal
+        assert snf.diagonal == dense_snf(dense_of(M, boundary_rows(X, n))).diagonal
 
 
 def test_snf_of_a_mixed_matrix_folds_the_residual():
@@ -270,8 +306,8 @@ def test_snf_of_a_mixed_matrix_folds_the_residual():
     # block [[2, 4, 4], [-6, 6, 12], [10, 4, 16]] (rows 2-4, columns 0, 2,
     # 4), coupled by r2 += 2 r0, r4 += 4 r1 and c4 += 2 c3: the unit pivots
     # must clear the coupling, and the residual they leave has no unit
-    # entry, so the dense routine finishes it and its transforms are folded
-    # back
+    # entry, so the residual phase finishes it on the same sparse rows; the
+    # dense routine of tests/reference.py is the second route
     M = [
         [0, 0, 0, 1, 2, 0],
         [0, -1, 0, 0, 0, 0],
@@ -288,7 +324,7 @@ def test_snf_of_a_mixed_matrix_folds_the_residual():
     for k, d in enumerate(snf.diagonal, start=1):
         product *= d
         assert minors_gcd(M, k) == product
-    assert _dense_snf(M).diagonal == snf.diagonal
+    assert dense_snf(M).diagonal == snf.diagonal
 
 
 def test_snf_certificate_rejects_tampering():
