@@ -278,8 +278,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    report = verify.sweep(args.max_len, args.alphabet, args.dedup_reversal)
     directory = os.environ.get("WORDCOMPLEX_REPORT_DIR")
+    if directory:
+        os.makedirs(directory, exist_ok=True)  # an unusable one fails before the sweep
+    report = verify.sweep(args.max_len, args.alphabet, args.dedup_reversal)
     written = verify.write_reports(report, directory) if directory else None
     if args.json:
         _emit_json(report.to_json())
@@ -371,7 +373,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

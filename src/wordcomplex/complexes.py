@@ -5,6 +5,9 @@ codimension-one face table: faces[c][i] is the cell obtained by deleting
 position i (0-based) of c. All higher boundary maps arise by composing
 single deletions, which is unambiguous once the simplicial identities
 d_i d_j = d_{j-1} d_i (i < j) hold; validate() checks them directly.
+The face table is the only incidence data a complex keeps, and nothing
+changes a complex after it is built: Collapsing, the live view of a partly
+collapsed complex, counts each cell's cofaces from the face table itself.
 
 The incidence number of a codimension-one pair is the signed count of
 deletions, with position i carrying sign (-1)^(i+1) (the sign of the
@@ -62,7 +65,6 @@ class DeltaComplex:
         self.id_of_label: dict[object, int] = {self.labels[c]: c for c in self.labels}
         if len(self.id_of_label) != len(self.labels):
             raise ValueError("cell labels must be unique")
-        self._coface_slots: Optional[dict[int, tuple[tuple[int, int], ...]]] = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -103,18 +105,6 @@ class DeltaComplex:
         return tuple(
             self.restricted_to(c, (i,)) for i in range(self.dim_of[c] + 1)
         )
-
-    def coface_slots(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """For each cell, the (coface, face index) pairs hitting it."""
-        if self._coface_slots is None:
-            slots: dict[int, list[tuple[int, int]]] = {c: [] for c in self.dim_of}
-            for c in self.dim_of:
-                for i, f in enumerate(self.faces[c]):
-                    slots[f].append((c, i))
-            self._coface_slots = {
-                c: tuple(sorted(v)) for c, v in slots.items()
-            }
-        return self._coface_slots
 
     # -- structural checks --------------------------------------------------
 
@@ -221,13 +211,16 @@ def incidence(X: DeltaComplex, sigma: int, tau: int) -> int:
 class Collapsing:
     """X with the removed cells gone, read live and never copied: up[c]
     counts the deletion slots of live cells that hit c, so a live cell is
-    maximal when it is 0. The counts hold whatever is removed."""
+    maximal when it is 0. The counts are read from the face table once and
+    lowered as cells are removed, so they hold whatever is removed."""
 
-    def __init__(self, X: DeltaComplex, removed: Iterable[int] = ()):
+    def __init__(self, X: DeltaComplex):
         self.X = X
         self.removed: set[int] = set()
-        self.up = {c: len(s) for c, s in X.coface_slots().items()}
-        self.remove(*removed)
+        self.up = dict.fromkeys(X.dim_of, 0)
+        for fs in X.faces.values():
+            for f in fs:
+                self.up[f] += 1
 
     def remove(self, *cells: int) -> None:
         """Remove each cell not yet removed, so naming one twice is harmless."""
@@ -381,14 +374,12 @@ def is_pseudomanifold(X: DeltaComplex) -> bool:
     d = X.dim
     if d < 1:
         return False
-    slots = X.coface_slots()
+    up = Collapsing(X).up
     for c, dc in X.dim_of.items():
-        if dc < d and not slots[c]:
+        if dc < d and not up[c]:
             return False  # not pure: a maximal cell below the top dimension
-    ridges = X.cells(d - 1)
-    for r in ridges:
-        if len(slots[r]) != 2:
-            return False
+    if any(up[r] != 2 for r in X.cells(d - 1)):
+        return False
     top = X.cells(d)
     parent = {c: c for c in top}
 
@@ -398,9 +389,10 @@ def is_pseudomanifold(X: DeltaComplex) -> bool:
             c = parent[c]
         return c
 
-    for r in ridges:
-        (a, _), (b, _) = slots[r]
-        parent[find(a)] = find(b)
+    first: dict[int, int] = {}  # ridge -> the first top cell met on it
+    for t in top:
+        for r in X.faces[t]:
+            parent[find(t)] = find(first.setdefault(r, t))
     return len({find(c) for c in top}) == 1
 
 

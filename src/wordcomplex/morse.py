@@ -220,7 +220,9 @@ def matching_report(X: DeltaComplex, matching: Matching) -> dict[str, bool]:
     named = [u for pair in matching.pairs for u in pair] + list(matching.critical)
     once = len(set(named)) == len(named)
     critical = {X.id_of_label.get(c) for c in matching.critical} - {None}
-    checks = validate_collapsing_order(Collapsing(X, critical), matching.pairs).checks
+    view = Collapsing(X)
+    view.remove(*critical)
+    checks = validate_collapsing_order(view, matching.pairs).checks
     return {
         "partition": once and set(named) == X.id_of_label.keys() | {EMPTY},
         "dims": all(c.dims_ok for c in checks),

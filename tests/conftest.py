@@ -19,7 +19,7 @@ from wordcomplex import morse
 from wordcomplex.complexes import Collapsing, DeltaComplex, free_pairs
 from wordcomplex.words import Word, distinct_subwords, reduced_form
 
-from reference import elementary_collapse, left_shifted, without
+from reference import coface_slots, elementary_collapse, left_shifted, without
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -230,7 +230,7 @@ def upward_closed_by_search(X, pairs) -> list[bool]:
     """Per pair of a collapsing order, whether a depth-first search of
     sigma's whole up-set meets only cells removed earlier, sigma or tau; the
     empty sigma stands below every cell."""
-    slots = X.coface_slots()
+    slots = coface_slots(X)
     removed: set[int] = set()
     flags = []
     for s, t in pairs:
@@ -287,7 +287,7 @@ def locality_by_covers(X, matching) -> bool:
 
     lower = {s for s, _ in matching.pairs}
     lower_of = {t: s for s, t in matching.pairs}
-    slots = X.coface_slots()
+    slots = coface_slots(X)
     for s, t in matching.pairs:
         covers = X.cells(0) if not s else [c for c, _ in slots[X.id_of_label[s]]]
         for c in covers:

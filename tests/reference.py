@@ -189,12 +189,20 @@ def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
 # Complexes: subcomplexes, elementary collapses, joins and isomorphisms
 
 
+def coface_slots(X: DeltaComplex) -> dict[int, tuple[tuple[int, int], ...]]:
+    """For each cell, the (coface, face index) pairs hitting it."""
+    slots: dict[int, list[tuple[int, int]]] = {c: [] for c in X.dim_of}
+    for c in X.dim_of:
+        for i, f in enumerate(X.faces[c]):
+            slots[f].append((c, i))
+    return {c: tuple(sorted(v)) for c, v in slots.items()}
+
+
 def without(X: DeltaComplex, removed: Iterable[int]) -> DeltaComplex:
     """Subcomplex with the given cells dropped; ids are preserved.
 
     The remainder must be face-closed, otherwise the face table would
-    dangle and the result would not be a complex. No coface table is
-    carried over.
+    dangle and the result would not be a complex.
     """
     removed = set(removed)
     keep = [c for c in X.dim_of if c not in removed]
@@ -226,7 +234,7 @@ def elementary_collapse(X: DeltaComplex, sigma: int, tau: int) -> DeltaComplex:
         raise ValueError(
             f"collapse condition (1) fails: {len(hits)} deletions of tau hit sigma"
         )
-    slots = X.coface_slots()
+    slots = coface_slots(X)
     others = [s for s in slots[sigma] if s[0] != tau]
     if others:
         raise ValueError(

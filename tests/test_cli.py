@@ -234,6 +234,20 @@ def test_sweep_command(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "reports" / "report.csv").exists()
 
 
+def test_sweep_refuses_an_unusable_report_dir_before_sweeping(
+    capsys, tmp_path, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("swept before the report directory was made")
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("WORDCOMPLEX_REPORT_DIR", str(blocker / "reports"))
+    monkeypatch.setattr("wordcomplex.verify.sweep", never)
+    code, out, err = run(capsys, "sweep", "--max-len", "3", "--alphabet", "3")
+    assert code == 1 and out == "" and err.startswith("error:"), err
+
+
 def test_sweep_text_output(capsys):
     code, out, _ = run(capsys, "sweep", "--max-len", "2", "--alphabet", "2")
     assert code == 0

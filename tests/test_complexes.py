@@ -1,3 +1,4 @@
+import copy
 import json
 from importlib import resources
 
@@ -6,6 +7,7 @@ import pytest
 from wordcomplex import complexes as C
 from wordcomplex.complexes import (
     Collapsing,
+    DeltaComplex,
     barycentric_subdivide,
     build,
     free_pairs,
@@ -15,8 +17,15 @@ from wordcomplex.complexes import (
     to_dot,
     to_json_dict,
 )
-from wordcomplex.homology import reduced_homology
-from wordcomplex.morse import EMPTY, alt_word, alternating_collapse, reduce_to_core
+from wordcomplex.homology import chain_data, reduced_homology
+from wordcomplex.morse import (
+    EMPTY,
+    alt_word,
+    alternating_collapse,
+    full_matching,
+    matching_report,
+    reduce_to_core,
+)
 from wordcomplex.words import (
     canonicalize,
     distinct_subwords,
@@ -26,7 +35,14 @@ from wordcomplex.words import (
 )
 
 from conftest import collapse_all, complex_by_slicing, incidence_by_signs
-from reference import elementary_collapse, empty_complex, is_isomorphic, join, without
+from reference import (
+    coface_slots,
+    elementary_collapse,
+    empty_complex,
+    is_isomorphic,
+    join,
+    without,
+)
 
 
 def w(text):
@@ -279,7 +295,7 @@ def test_collapsing_view_agrees_with_a_recount():
     checked = 0
     for word in enumerate_canonical_words(6, 3):
         X = build(word)
-        slots = X.coface_slots()
+        slots = coface_slots(X)
         for order in removal_orders(X):
             view = Collapsing(X)
             for sigma, tau in [(None, None)] + order:
@@ -376,12 +392,47 @@ def test_is_pseudomanifold_examples():
     assert is_pseudomanifold(build(w("aabb")))
     # subdivided circle: two vertices, two edges
     assert is_pseudomanifold(barycentric_subdivide(build(w("aa"))))
+    # two disjoint two-edge circles: pure, and every vertex is hit by two
+    # deletion slots, but the edges are not strongly connected
+    two_circles = DeltaComplex(
+        [[0, 1, 2, 3], [4, 5, 6, 7]],
+        {0: (), 1: (), 2: (), 3: (), 4: (1, 0), 5: (0, 1), 6: (3, 2), 7: (2, 3)},
+        {c: f"c{c}" for c in range(8)},
+    )
+    two_circles.validate()
+    assert not is_pseudomanifold(two_circles)
+    # one such circle and a stray vertex: not pure
+    stray = DeltaComplex(
+        [[0, 1, 2], [3, 4]],
+        {0: (), 1: (), 2: (), 3: (1, 0), 4: (0, 1)},
+        {c: f"c{c}" for c in range(5)},
+    )
+    stray.validate()
+    assert not is_pseudomanifold(stray)
 
 
 def test_pseudomanifold_law():
     for word in all_words(6):
         expected = all(e == 2 for e in reduced_form(word).exponents)
         assert is_pseudomanifold(build(word)) == expected, word
+
+
+def test_readers_leave_a_complex_as_built():
+    # a complex is its face table and never changes once built: the live
+    # view and every reader keep their own state
+    for text in ("aa", "aaa", "aabba", "abab", "abcab", "aabbcc"):
+        word = w(text)
+        X = build(word)
+        before = copy.deepcopy(vars(X))
+        Collapsing(X).remove(*X.cells(X.dim))
+        free_pairs(X)
+        is_pseudomanifold(X)
+        if not any(e % 2 for e in reduced_form(word).exponents[:-1]):
+            matching_report(X, full_matching(word))
+        reduce_to_core(X)
+        chain_data(X)
+        to_dot(X)
+        assert vars(X) == before, text
 
 
 # -- exports ---------------------------------------------------------------------
