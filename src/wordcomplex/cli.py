@@ -183,26 +183,11 @@ def cmd_morse(args) -> int:
     return 0 if ok else FAILURE
 
 
-def _spelled_in(word: words.Word, run: morse.CollapseRun) -> morse.CollapseRun:
-    """The collapse of alt(len(word)) with each letter spelled as the letter
-    of word it renames, undoing canonicalize."""
-    letters = tuple(dict.fromkeys(word))
-
-    def spell(u: words.Word) -> words.Word:
-        return tuple(letters[a] for a in u)
-
-    steps = tuple(
-        morse.CollapseStep(spell(s.sigma), spell(s.tau), s.rule) for s in run.steps
-    )
-    terminal = frozenset(map(spell, run.terminal_cells))
-    return morse.CollapseRun(word, steps, run.core and spell(run.core), terminal)
-
-
 def cmd_collapse(args) -> int:
     word = _parse_word_arg(args.word, args.force)
     run = trace = None
-    if words.canonicalize(word) == morse.alt_word(len(word)):
-        run = _spelled_in(word, morse.alternating_collapse(len(word)))
+    if morse.is_alternating(word):
+        run = morse.alternating_collapse(word)
     else:
         trace = morse.reduce_to_core(complexes.build(word))
     payload = {

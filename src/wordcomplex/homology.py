@@ -81,16 +81,14 @@ def boundary_matrix(X: DeltaComplex, n: int) -> list[Column]:
     row_of = {c: i for i, c in enumerate(X.cells_by_dim[n - 1])}.__getitem__
     signs = tuple(deletion_sign(i) for i in range(n + 1))
     faces = X.faces
-    columns = [dict(zip(map(row_of, faces[tau]), signs)) for tau in cols]
-    for j, col in enumerate(columns):
-        if len(col) <= n:  # a repeated face: its signs add up
-            col.clear()
-            for i, x in zip(map(row_of, faces[cols[j]]), signs):
-                y = col.get(i, 0) + x
-                if y:
-                    col[i] = y
-                else:
-                    del col[i]
+    columns = []
+    for tau in cols:
+        col = {}
+        for i, x in zip(map(row_of, faces[tau]), signs):
+            y = col.pop(i, 0) + x  # a repeated face: its signs add up
+            if y:
+                col[i] = y
+        columns.append(col)
     return columns
 
 

@@ -31,7 +31,7 @@ elementary collapses: see validate_collapsing_order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import gt
+from operator import gt, ne
 from typing import Optional
 
 from .complexes import Collapsing, DeltaComplex, build, incidence
@@ -51,6 +51,13 @@ EMPTY: Word = ()
 
 def _word_name(u: Word) -> str:
     return format_word(u) if u else "-"
+
+
+def _pairs_json(pairs: tuple[tuple[Word, Word], ...], rules: tuple[str, ...]) -> list:
+    return [
+        {"sigma": _word_name(s), "tau": _word_name(t), "dim": len(s) - 1, "rule": rule}
+        for (s, t), rule in zip(pairs, rules)
+    ]
 
 
 @dataclass(frozen=True)
@@ -77,15 +84,7 @@ class Matching:
         rules = self.rules or ("mu",) * len(self.pairs)
         return {
             "word": format_word(self.word),
-            "pairs": [
-                {
-                    "sigma": _word_name(s),
-                    "tau": _word_name(t),
-                    "dim": len(s) - 1,
-                    "rule": rule,
-                }
-                for (s, t), rule in zip(self.pairs, rules)
-            ],
+            "pairs": _pairs_json(self.pairs, rules),
             "critical": [_word_name(c) for c in self.critical],
         }
 
@@ -445,129 +444,108 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
 # Alternating words
 
 
-_BLOCK = (0, 0, 1, 1)  # a^2 b^2
+def is_alternating(word: Word) -> bool:
+    """Whether the nonempty word uses at most two letters and no two
+    neighbours are equal: abab... in its own letters."""
+    return bool(word) and len(set(word)) <= 2 and all(map(ne, word, word[1:]))
 
 
-def alt_word(n: int) -> Word:
-    """The two-letter alternating word abab... of length n."""
-    if n < 1:
-        raise ValueError("alternating words have length at least 1")
-    return tuple(i % 2 for i in range(n))
-
-
-def _strip_blocks(u: Word) -> tuple[int, Word]:
-    k = 0
-    while u[:4] == _BLOCK:
-        u = u[4:]
-        k += 1
-    return k, u
-
-
-def alt_partner(u: Word) -> tuple[Word, str, bool]:
-    """Partner of a two-letter word under the explicit matching rules.
+def alt_partner(u: Word, a: int, b: int) -> tuple[Word, str, bool]:
+    """Partner of a word over the letters a and b under the explicit
+    matching rules.
 
     Returns (partner, rule tag, whether u is the lower side). The rules
     pair, for every block prefix p = (a^2 b^2)^k and every tail s:
     R1: p+b+s with p+ab+s, R2: p+a^3+s with p+a^2ba+s, R3: p with p+a,
-    R4: p+a^2 with p+a^2b. Every two-letter word matches exactly one rule;
-    in particular the empty cell pairs with the vertex a.
+    R4: p+a^2 with p+a^2b. Every word over a and b matches exactly one
+    rule; in particular the empty cell pairs with the vertex a.
     """
-    k, r = _strip_blocks(u)
-    p = _BLOCK * k
+    block = (a, a, b, b)
+    k = 0
+    while u[k : k + 4] == block:
+        k += 4
+    p, r = u[:k], u[k:]
     if r == ():
-        return p + (0,), "R3", True
-    if r == (0,):
+        return p + (a,), "R3", True
+    if r == (a,):
         return p, "R3", False
-    if r == (0, 0):
-        return p + (0, 0, 1), "R4", True
-    if r == (0, 0, 1):
-        return p + (0, 0), "R4", False
-    if r[0] == 1:
-        return p + (0,) + r, "R1", True
-    if r[:2] == (0, 1):
+    if r == (a, a):
+        return p + (a, a, b), "R4", True
+    if r == (a, a, b):
+        return p + (a, a), "R4", False
+    if r[0] == b:
+        return p + (a,) + r, "R1", True
+    if r[:2] == (a, b):
         return p + r[1:], "R1", False
-    if r[:3] == (0, 0, 0):
-        return p + (0, 0, 1, 0) + r[3:], "R2", True
-    if r[:4] == (0, 0, 1, 0):
-        return p + (0, 0, 0) + r[4:], "R2", False
+    if r[:3] == (a, a, a):
+        return p + (a, a, b, a) + r[3:], "R2", True
+    if r[:4] == (a, a, b, a):
+        return p + (a, a, a) + r[4:], "R2", False
     raise RuntimeError(f"unclassified two-letter word {u}")
 
 
-def alternating_matching(n: int) -> Matching:
-    """The rule matching on the complex of alt(n); a rule applies only when
-    both of its cells are simplices. Exactly the fundamental subword stays
-    unmatched when 3 divides n, nothing otherwise."""
-    w = alt_word(n)
-    cells = set(distinct_subwords(w)) | {EMPTY}
+def alternating_matching(word: Word) -> Matching:
+    """The rule matching on the complex of an alternating word, with a its
+    first letter and b its second; a rule applies only when both of its
+    cells are simplices. Exactly the fundamental subword stays unmatched
+    when 3 divides the length, nothing otherwise.
+
+    Pairs come in removal order: by descending dimension, then by sigma
+    read with a before b, whichever letter sorts first."""
+    if not is_alternating(word):
+        raise ValueError(f"{format_word(word)} does not alternate between two letters")
+    a = word[0]
+    b = word[1] if len(word) > 1 else a  # a single letter has no second
+    cells = set(distinct_subwords(word)) | {EMPTY}
     pairs = []
     rules = []
     critical = []
-    for u in sorted(cells, key=lambda x: (len(x), x)):
-        partner, rule, is_lower = alt_partner(u)
+    for u in sorted(cells, key=lambda s: (-len(s), [x != a for x in s])):
+        partner, rule, is_lower = alt_partner(u, a, b)
         if partner not in cells:
             critical.append(u)
             continue
-        back, _, _ = alt_partner(partner)
+        back, _, _ = alt_partner(partner, a, b)
         if back != u:
             raise RuntimeError(f"rules are not involutive at {u}")
         if is_lower:
             pairs.append((u, partner))
             rules.append(rule)
     if 2 * len(pairs) + len(critical) != len(cells):
-        raise RuntimeError(f"rules do not partition the simplices of alt({n})")
-    order = sorted(range(len(pairs)), key=lambda i: (-len(pairs[i][0]), pairs[i][0]))
-    return Matching(
-        w,
-        0,
-        tuple(pairs[i] for i in order),
-        tuple(critical),
-        tuple(rules[i] for i in order),
-    )
-
-
-@dataclass(frozen=True)
-class CollapseStep:
-    sigma: Word
-    tau: Word
-    rule: str
+        raise RuntimeError(f"rules do not partition the cells of {format_word(word)}")
+    return Matching(word, 0, tuple(pairs), tuple(critical), tuple(rules))
 
 
 @dataclass(frozen=True)
 class CollapseRun:
     word: Word
-    steps: tuple[CollapseStep, ...]
-    core: Optional[Word]  # fundamental subword when 3 | n, else None
+    pairs: tuple[tuple[Word, Word], ...]  # in the order they collapsed
+    rules: tuple[str, ...]  # the rule tag of each pair
+    core: Optional[Word]  # fundamental subword when 3 divides the length
     terminal_cells: frozenset[Word]
 
     def to_json(self) -> dict:
         return {
             "word": format_word(self.word),
             "core": format_word(self.core) if self.core else None,
-            "steps": [
-                {
-                    "sigma": _word_name(s.sigma),
-                    "tau": _word_name(s.tau),
-                    "dim": len(s.sigma) - 1,
-                    "rule": s.rule,
-                }
-                for s in self.steps
-            ],
+            "steps": _pairs_json(self.pairs, self.rules),
             "terminal_cells": sorted(format_word(c) for c in self.terminal_cells),
         }
 
 
-def alternating_collapse(n: int) -> CollapseRun:
-    """Collapse the complex of alt(n) by elementary collapses, highest
-    dimension first: to a single vertex when 3 does not divide n, onto the
-    subcomplex of the fundamental subword when it does.
+def alternating_collapse(word: Word) -> CollapseRun:
+    """Collapse the complex of an alternating word by elementary collapses,
+    highest dimension first: to a single vertex when 3 does not divide its
+    length, onto the subcomplex of the fundamental subword when it does.
 
     Every executed pair is checked as an elementary collapse at its turn;
-    when 3 divides n the rule pairs never straddle the core subcomplex, so
-    skipping the pairs inside it removes exactly the outside cells.
+    when 3 divides the length the rule pairs never straddle the core
+    subcomplex, so skipping the pairs inside it removes exactly the outside
+    cells.
     """
-    w = alt_word(n)
-    matching = alternating_matching(n)
-    core = fundamental_subword(w) if n % 3 == 0 else None
+    matching = alternating_matching(word)
+    name = format_word(word)
+    core = fundamental_subword(word) if len(word) % 3 == 0 else None
     expected_critical = (core,) if core else ()
     if matching.critical != expected_critical:
         raise RuntimeError(f"unexpected critical cells {matching.critical}")
@@ -578,10 +556,10 @@ def alternating_collapse(n: int) -> CollapseRun:
             if s != EMPTY and (s in keep) != (t in keep):
                 raise RuntimeError(f"rule pair ({s}, {t}) straddles the core")
     else:
-        keep = {w[:1]}  # the base vertex survives
+        keep = {word[:1]}  # the base vertex survives
 
     pending = [
-        CollapseStep(s, t, rule)
+        (s, t, rule)
         for (s, t), rule in zip(matching.pairs, matching.rules)
         if s != EMPTY and s not in keep and t not in keep
     ]
@@ -590,25 +568,25 @@ def alternating_collapse(n: int) -> CollapseRun:
     # another pair of the same dimension to go first; scheduling greedily
     # (highest dimension first, rescanning after progress) finds the order.
     # The collapses run on the one complex, read live.
-    X = build(w)
+    X = build(word)
     view = Collapsing(X)
-    steps = []
+    pairs, rules = [], []
     while pending:
         waiting = []
-        for step in pending:
-            sid, tid = X.id_of_label[step.sigma], X.id_of_label[step.tau]
+        for s, t, rule in pending:
+            sid, tid = X.id_of_label[s], X.id_of_label[t]
             if view.is_free(sid, tid):
                 view.remove(sid, tid)
-                steps.append(step)
+                pairs.append((s, t))
+                rules.append(rule)
             else:
-                waiting.append(step)
+                waiting.append((s, t, rule))
         if len(waiting) == len(pending):
             raise RuntimeError(
-                f"collapse of alt({n}) is stuck with {len(pending)} pairs pending"
+                f"collapse of {name} is stuck with {len(pending)} pairs pending"
             )
         pending = waiting
     terminal = frozenset(X.labels[c] for c in X.dim_of.keys() - view.removed)
     if terminal != frozenset(keep):
-        raise RuntimeError(f"collapse of alt({n}) left {sorted(terminal)}")
-    return CollapseRun(w, tuple(steps), core, terminal)
-
+        raise RuntimeError(f"collapse of {name} left {sorted(terminal)}")
+    return CollapseRun(word, tuple(pairs), tuple(rules), core, terminal)

@@ -58,18 +58,6 @@ class ReducedForm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponents", tuple(e for _, e in self.runs))
 
-    @classmethod
-    def from_word(cls, word: Word) -> "ReducedForm":
-        if not word:
-            raise ValueError("empty word has no reduced form")
-        runs: list[tuple[int, int]] = []
-        for a in word:
-            if runs and runs[-1][0] == a:
-                runs[-1] = (a, runs[-1][1] + 1)
-            else:
-                runs.append((a, 1))
-        return cls(tuple(runs))
-
     def __len__(self) -> int:
         return len(self.runs)
 
@@ -81,7 +69,15 @@ class ReducedForm:
 
 
 def reduced_form(word: Word) -> ReducedForm:
-    return ReducedForm.from_word(word)
+    if not word:
+        raise ValueError("empty word has no reduced form")
+    runs: list[tuple[int, int]] = []
+    for a in word:
+        if runs and runs[-1][0] == a:
+            runs[-1] = (a, runs[-1][1] + 1)
+        else:
+            runs.append((a, 1))
+    return ReducedForm(tuple(runs))
 
 
 def _next_occurrence(word: Word) -> list[dict[int, int]]:

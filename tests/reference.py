@@ -185,6 +185,13 @@ def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
     return out
 
 
+def alt_word(n: int) -> Word:
+    """The two-letter alternating word abab... of length n."""
+    if n < 1:
+        raise ValueError("alternating words have length at least 1")
+    return tuple(i % 2 for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # Complexes: subcomplexes, elementary collapses, joins and isomorphisms
 

@@ -20,7 +20,6 @@ from wordcomplex.complexes import (
 from wordcomplex.homology import chain_data, reduced_homology
 from wordcomplex.morse import (
     EMPTY,
-    alt_word,
     alternating_collapse,
     full_matching,
     matching_report,
@@ -36,6 +35,7 @@ from wordcomplex.words import (
 
 from conftest import collapse_all, complex_by_slicing, incidence_by_signs
 from reference import (
+    alt_word,
     coface_slots,
     elementary_collapse,
     empty_complex,
@@ -272,8 +272,8 @@ def removal_orders(X):
     word = X.labels[X.cells(X.dim)[0]]
     orders = []
     if word == alt_word(len(word)):
-        steps = alternating_collapse(len(word)).steps
-        orders.append([(ids[s.sigma], ids[s.tau]) for s in steps])
+        pairs = alternating_collapse(alt_word(len(word))).pairs
+        orders.append([(ids[s], ids[t]) for s, t in pairs])
     order, backwards = [], False
     for step in reduce_to_core(X).steps:
         backwards ^= step.kind == "flip"

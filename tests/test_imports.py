@@ -1,7 +1,8 @@
 """The library's imports and names: every module-level import of a library
 module is used by that module, every module-level function is named by the
 library outside its own body, no library module names the coface table,
-and importing the command line loads no pool module."""
+only words.py renames letters, and importing the command line loads no
+pool module."""
 
 import ast
 import subprocess
@@ -117,6 +118,14 @@ def test_no_library_module_names_the_coface_table():
     # with the view they check
     modules = Path(wordcomplex.__file__).parent.glob("*.py")
     assert [p.name for p in modules if "coface_slots" in p.read_text()] == []
+
+
+def test_only_the_word_module_renames_letters():
+    # every routine takes a word in its own letters; canonical renaming only
+    # enumerates the sweep's words, in words.py
+    modules = Path(wordcomplex.__file__).parent.glob("*.py")
+    others = [p for p in modules if p.name not in ("__init__.py", "words.py")]
+    assert [p.name for p in others if "canonicalize" in p.read_text()] == []
 
 
 def test_importing_the_cli_loads_no_pool_module():

@@ -12,10 +12,10 @@ from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
     EMPTY,
     alt_partner,
-    alt_word,
     alternating_collapse,
     alternating_matching,
     full_matching,
+    is_alternating,
     matching_report,
     reduce_step,
     reduce_to_core,
@@ -40,6 +40,7 @@ from conftest import (
     upward_closed_by_search,
 )
 from reference import (
+    alt_word,
     coface_slots,
     elementary_collapse,
     height,
@@ -634,25 +635,34 @@ def test_alt_word():
         alt_word(0)
 
 
+def test_is_alternating():
+    for text in ("a", "ab", "zyz", "abab"):
+        assert is_alternating(w(text)), text
+    for text in ("aa", "aab", "abc", "abba"):
+        assert not is_alternating(w(text)), text
+    with pytest.raises(ValueError):
+        alternating_matching(w("aab"))
+
+
 def test_alt_partner_rules():
-    assert alt_partner(()) == (w("a"), "R3", True)
-    assert alt_partner(w("aa")) == (w("aab"), "R4", True)
-    assert alt_partner(w("b")) == (w("ab"), "R1", True)
-    assert alt_partner(w("aaa")) == (w("aaba"), "R2", True)
-    assert alt_partner(w("aabb")) == (w("aabba"), "R3", True)
+    assert alt_partner((), 0, 1) == (w("a"), "R3", True)
+    assert alt_partner(w("aa"), 0, 1) == (w("aab"), "R4", True)
+    assert alt_partner(w("b"), 0, 1) == (w("ab"), "R1", True)
+    assert alt_partner(w("aaa"), 0, 1) == (w("aaba"), "R2", True)
+    assert alt_partner(w("aabb"), 0, 1) == (w("aabba"), "R3", True)
 
 
 def test_alt_partner_is_an_involution():
     for n in range(1, 9):
         for u in distinct_subwords(alt_word(n)) | {()}:
-            partner, rule, is_lower = alt_partner(u)
-            back, back_rule, back_lower = alt_partner(partner)
+            partner, rule, is_lower = alt_partner(u, 0, 1)
+            back, back_rule, back_lower = alt_partner(partner, 0, 1)
             assert back == u and back_rule == rule and back_lower != is_lower
 
 
 def test_alternating_matching_critical_cells():
     for n in range(1, 13):
-        m = alternating_matching(n)
+        m = alternating_matching(alt_word(n))
         if n % 3 == 0:
             assert m.critical == (fundamental_subword(alt_word(n)),)
         else:
@@ -661,20 +671,20 @@ def test_alternating_matching_critical_cells():
 
 def test_rule_matching_json_tags_each_pair_with_its_rule():
     for n in range(1, 13):
-        m = alternating_matching(n)
+        m = alternating_matching(alt_word(n))
         assert [p["rule"] for p in m.to_json()["pairs"]] == list(m.rules), n
 
 
 def test_alternating_collapse_runs():
     for n in range(1, 13):
-        run = alternating_collapse(n)
+        run = alternating_collapse(alt_word(n))
         if n % 3 == 0:
             expected = distinct_subwords(fundamental_subword(alt_word(n)))
             assert run.terminal_cells == frozenset(expected)
         else:
             assert run.terminal_cells == frozenset({(0,)})
         removed = len(distinct_subwords(alt_word(n))) - len(run.terminal_cells)
-        assert removed == 2 * len(run.steps)
+        assert removed == 2 * len(run.pairs)
 
 
 def test_alternating_collapse_drops_cells_once(monkeypatch):
@@ -686,7 +696,7 @@ def test_alternating_collapse_drops_cells_once(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(DeltaComplex, "__init__", counting_init)
-    alternating_collapse(9)
+    alternating_collapse(alt_word(9))
     # the pairs are dropped from the one built complex, and the terminal
     # labels are read from its live cells: no subcomplex is made
     assert len(made) == 1
@@ -696,11 +706,11 @@ def test_alternating_collapse_drops_cells_once(monkeypatch):
 
 def test_alternating_collapse_replays_as_elementary_collapses():
     for n in range(1, 13):
-        run = alternating_collapse(n)
+        run = alternating_collapse(alt_word(n))
         X = build(alt_word(n))
-        for step in run.steps:
+        for sigma, tau in run.pairs:
             ids = X.id_of_label
-            X = elementary_collapse(X, ids[step.sigma], ids[step.tau])
+            X = elementary_collapse(X, ids[sigma], ids[tau])
         assert frozenset(X.id_of_label) == run.terminal_cells, n
 
 
@@ -709,16 +719,46 @@ def test_alternating_collapse_runs_pinned():
     # collapse that rebuilt the complex after every pair produced them
     digest = hashlib.sha256()
     for n in range(1, 17):
-        data = json.dumps(alternating_collapse(n).to_json(), sort_keys=True)
+        data = json.dumps(alternating_collapse(alt_word(n)).to_json(), sort_keys=True)
         digest.update(data.encode() + b"\n")
     assert digest.hexdigest() == (
         "60b71b889aac5a3453b312632ef5aa281f3fb895bf51e9f8aa2c959d9ab86367"
     )
 
 
+def spelled_over(data, a, b):
+    """A collapse run's JSON for a word over a and b, with a spelled for
+    each letter a and b for each letter b; the terminal cells are
+    re-sorted by their new spelling."""
+    table = str.maketrans("ab", a + b)
+
+    def spell(text):
+        return text.translate(table)  # "-", the empty cell, stays
+
+    return {
+        "word": spell(data["word"]),
+        "core": data["core"] and spell(data["core"]),
+        "steps": [
+            {**s, "sigma": spell(s["sigma"]), "tau": spell(s["tau"])}
+            for s in data["steps"]
+        ],
+        "terminal_cells": sorted(map(spell, data["terminal_cells"])),
+    }
+
+
+def test_alternating_collapse_reads_the_word_in_its_own_letters():
+    # the run on abab... spelled in other letters is the run on the word
+    # in those letters, also when the first letter sorts after the second
+    for a, b in ("ab", "ba", "cd", "zy"):
+        for n in range(1, 13):
+            word = w((a + b) * n)[:n]
+            expected = spelled_over(alternating_collapse(alt_word(n)).to_json(), a, b)
+            assert alternating_collapse(word).to_json() == expected, (a, b, n)
+
+
 def test_alternating_collapse_step_rules_tagged():
-    run = alternating_collapse(6)
-    assert {s.rule for s in run.steps} <= {"R1", "R2", "R3", "R4"}
+    run = alternating_collapse(alt_word(6))
+    assert set(run.rules) <= {"R1", "R2", "R3", "R4"}
     assert run.core == w("aabb")
 
 
@@ -727,7 +767,7 @@ def test_trace_json_round_trip():
     data = trace.to_json()
     assert data["terminal"] == "a"
     assert data["steps"][0]["kind"] == "delete"
-    run = alternating_collapse(3)
+    run = alternating_collapse(alt_word(3))
     data = run.to_json()
     assert data["core"] == "aa"
     assert sorted(data["terminal_cells"]) == ["a", "aa"]
