@@ -9,6 +9,7 @@ disk.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -302,7 +303,10 @@ def cmd_tables(args) -> int:
     return 0 if report.ok else FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later main call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wordcomplex",
         description="Complexes of words: analysis, homology, collapses, sweeps.",

@@ -32,21 +32,25 @@ The inverse of the row transform and the column transform are kept as
 sparse columns, giving one certificate identity, M V = U_inv D. Every
 reduction that reduced_homology or a sweep reads is checked by
 check_certificates, after check_composition has checked the vanishing of
-consecutive boundary maps on every column. Each column of V is checked by
-a sparse product, except the cleared columns of d_n, which are certified
-by identity: each must equal, entry for entry, the U_inv column of d_{n+1}
-it was cleared by. That suffices. The certificate of d_{n+1}, checked by
-product, gives d_{n+1} V_up[t] = d_t U_inv_up[t] with d_t > 0 for t below
-its rank; d_n d_{n+1} = 0 on every column, hence on every integer
-combination of columns, so d_t d_n U_inv_up[t] = d_n d_{n+1} V_up[t] = 0,
-and d_n U_inv_up[t] = 0 because the integers have no zero divisors. A
-column equal to U_inv_up[t] is thus one that d_n maps to zero, which is
-what the product would have checked. Only the columns of U_inv_up within
-its rank are so proven, so a map above with more unit pivots than its rank
-is refused. SmithNormalForm.check on its own still checks every column by
-product. Both transforms are products of swaps, negations and integer
-additions of one line to another, so they are unimodular by construction;
-the tests prove it again by determinant.
+consecutive boundary maps on every column, one pass per pair of maps.
+Each column of V is checked by a sparse product, except the cleared
+columns of d_n, which are certified by identity: each must equal, entry
+for entry, the U_inv column of d_{n+1} it was cleared by. That suffices.
+The certificate of d_{n+1}, checked by product, gives d_{n+1} V_up[t] =
+d_t U_inv_up[t] with d_t > 0 for t below its rank; d_n d_{n+1} = 0 on
+every column, hence on every integer combination of columns, so
+d_t d_n U_inv_up[t] = d_n d_{n+1} V_up[t] = 0, and d_n U_inv_up[t] = 0
+because the integers have no zero divisors. A column equal to U_inv_up[t]
+is thus one that d_n maps to zero, which is what the product would have
+checked. Only the columns of U_inv_up within its rank are so proven, so a
+map above with more unit pivots than its rank is refused.
+SmithNormalForm.check on its own still checks every column by
+product. Most columns of V within the rank are one unit entry {j: 1} with
+d_t = 1, and there the product M V[t] = U_inv[t] says M[j] == U_inv[t]:
+no column stores a zero, so it is read as that comparison of dicts, which
+can pass only where the product would. Both transforms are products of
+swaps, negations and integer additions of one line to another, so they are
+unimodular by construction; the tests prove it again by determinant.
 
 Reduced homology is realized by an augmentation row of ones at dimension
 zero rather than by special-casing connectivity.
@@ -94,7 +98,12 @@ def boundary_matrix(X: DeltaComplex, n: int) -> list[Column]:
 
 def _product_is(columns: list[Column], coeffs: Column, d: int, want: Column) -> bool:
     """Whether the sum of x * columns[j] over the entries j: x of coeffs is
-    d * want."""
+    d * want. With coeffs {j: 1} and d = 1 that is columns[j] == want, read
+    as a comparison: no column stores a zero, so equal maps are equal dicts."""
+    if d == 1 and len(coeffs) == 1:
+        ((j, x),) = coeffs.items()
+        if x == 1:
+            return columns[j] == want
     acc = {i: -d * x for i, x in want.items()} if d else {}
     get = acc.get
     for j, x in coeffs.items():
@@ -137,8 +146,10 @@ class SmithNormalForm:
     def check(self, M: list[Column], upper: "SmithNormalForm | None" = None) -> None:
         """Verify the divisibility chain and M V = U_inv D column by column,
         M given by its sparse columns: M times column t of V must be d_t
-        times column t of U_inv within the rank, and zero past it. Raises on
-        any failure.
+        times column t of U_inv within the rank, and zero past it. A column
+        V[t] = {j: 1} with d_t = 1 is that product read as the comparison
+        M[j] == U_inv[t], since no column stores a zero. Raises on any
+        failure.
 
         Given upper, the reduction of the map above M in chain_data, the
         columns V[rank : rank + units], units being upper's unit pivots, are
@@ -379,8 +390,14 @@ def chain_data(X: DeltaComplex) -> list[tuple[list[Column], SmithNormalForm]]:
 def check_composition(data: list[tuple[list[Column], SmithNormalForm]]) -> None:
     """Raise unless consecutive maps of chain_data compose to zero."""
     for (low, _), (high, _) in zip(data, data[1:]):
-        if not all(_product_is(low, col, 0, {}) for col in high):
-            raise ArithmeticError("consecutive boundary maps do not compose to zero")
+        for col in high:
+            acc = {}
+            get = acc.get
+            for j, x in col.items():
+                for i, a in low[j].items():
+                    acc[i] = get(i, 0) + x * a
+            if any(acc.values()):
+                raise ArithmeticError("consecutive boundary maps do not compose to zero")
 
 
 def profile_of(data: list[tuple[list[Column], SmithNormalForm]]) -> HomologyProfile:

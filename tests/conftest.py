@@ -28,6 +28,21 @@ settings.register_profile(
 )
 settings.load_profile("deterministic")
 
+# the words of the benchmark's homology workload, 431-943 cells each
+HARD_WORDS = (
+    "abababababab",
+    "aabbccaabbcc",
+    "aabbccddaabb",
+    "abcdeedcba",
+    "abcdbeabdb",
+    "aabcbaadbcd",
+    "abcabcabca",
+    "abcdabcda",
+    "abcdbcadcb",
+    "abcdedcbab",
+    "abcdeabcde",
+)
+
 
 def env_importing_the_package() -> dict[str, str]:
     """This process's environment, with the directory that holds the

@@ -412,6 +412,26 @@ def profile_reduced_euler(p: HomologyProfile) -> int:
     return sum((-1) ** n * b for n, (b, _) in enumerate(p.groups))
 
 
+def product_is(columns: list[Column], coeffs: Column, d: int, want: Column) -> bool:
+    """Whether the sum of x * columns[j] over the entries j: x of coeffs is
+    d * want, by accumulation alone, whatever the shape of coeffs."""
+    acc = {i: -d * x for i, x in want.items()}
+    for j, x in coeffs.items():
+        for i, a in columns[j].items():
+            acc[i] = acc.get(i, 0) + x * a
+    return not any(acc.values())
+
+
+def certified_by_products(M: list[Column], snf: SmithNormalForm) -> bool:
+    """Whether M V = U_inv D holds on every column of V by plain products:
+    d_t U_inv[t] within the rank, zero past it."""
+    rank = snf.rank
+    return all(
+        product_is(M, v, snf.diagonal[t], snf.U_inv[t]) if t < rank else product_is(M, v, 0, {})
+        for t, v in enumerate(snf.V)
+    )
+
+
 # A dense minimal-pivot Smith normal form, the second route of the sparse
 # engine on matrices it is known to finish: on a block with no unit entry
 # its entries can grow so fast that it does not finish in practice.

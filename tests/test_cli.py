@@ -1,11 +1,15 @@
+import argparse
 import hashlib
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from wordcomplex import cli
 from wordcomplex.cli import main
 from wordcomplex.words import (
     distinct_subwords,
@@ -13,6 +17,8 @@ from wordcomplex.words import (
     format_word,
     parse_word,
 )
+
+from conftest import env_importing_the_package
 
 
 def run(capsys, *argv):
@@ -91,6 +97,49 @@ def test_plain_words_refuse_large_complexes(capsys, monkeypatch):
     # analyze counts its cells without building the complex
     code, payload, _ = run_json(capsys, "analyze", "abc" * 10, "--force")
     assert code == 0 and sum(payload["f_vector"]) == 117_897_839
+
+
+# -- the parser ------------------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "wordcomplex":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "analyze", "aba")[0] == 0
+    assert run(capsys, "homology", "aba")[0] == 0
+    assert len(built) == 1
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    # calls in a row in this process, after a usage error and an unknown
+    # command, each against the same call made first in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps to the terminal
+    probe = "import sys; from wordcomplex.cli import main; sys.exit(main(sys.argv[1:]))"
+    calls = [
+        ["sweep", "--max-len", "0"],
+        ["analyze", "abcab", "--json"],
+        ["homology", "abcab", "--json"],
+        ["frobnicate"],
+        ["analyze", "abcab", "--json"],
+    ]
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env_importing_the_package(),
+            capture_output=True, text=True, timeout=60,
+        )
+        got = run(capsys, *argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(got[0])
+    assert codes == [2, 0, 0, 2, 0]
 
 
 # -- analysis --------------------------------------------------------------------

@@ -33,7 +33,7 @@ from wordcomplex.words import (
     reduced_form,
 )
 
-from conftest import collapse_all, complex_by_slicing, incidence_by_signs
+from conftest import HARD_WORDS, collapse_all, complex_by_slicing, incidence_by_signs
 from reference import (
     alt_word,
     coface_slots,
@@ -66,22 +66,6 @@ def test_build_small_examples():
     assert build(w("aba")).f_vector() == (2, 3, 1)
     for n in range(1, 7):
         assert build((0,) * n).f_vector() == (1,) * n
-
-
-# the words of the benchmark's homology workload, 431-943 cells each
-HARD_WORDS = (
-    "abababababab",
-    "aabbccaabbcc",
-    "aabbccddaabb",
-    "abcdeedcba",
-    "abcdbeabdb",
-    "aabcbaadbcd",
-    "abcabcabca",
-    "abcdabcda",
-    "abcdbcadcb",
-    "abcdedcbab",
-    "abcdeabcde",
-)
 
 
 def test_build_faces_agree_with_slicing():

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from wordcomplex.homology import (
 from wordcomplex.verify import examine_word
 from wordcomplex.words import enumerate_canonical_words, parse_word, predict_homotopy
 
-from conftest import assert_unimodular, columns_of, dense_of, matmul, minors_gcd
-from reference import dense_snf, join, profile_reduced_euler
+from conftest import HARD_WORDS, assert_unimodular, columns_of, dense_of, matmul, minors_gcd
+from reference import certified_by_products, dense_snf, join, profile_reduced_euler
 
 
 def w(text):
@@ -375,6 +376,92 @@ def test_snf_certificate_rejects_tampering():
     tampered.U_inv[1] = {i: -x for i, x in tampered.U_inv[1].items()}
     with pytest.raises(ArithmeticError, match="positive"):
         tampered.check(columns_of([[2, 0], [0, 2]]))
+
+
+def is_one_column(snf, t):
+    """Whether M V[t] = d_t U_inv[t] is read as a comparison: V[t] is one
+    unit entry and d_t is 1."""
+    return t < snf.rank and snf.diagonal[t] == 1 and list(snf.V[t].values()) == [1]
+
+
+def test_no_column_stores_a_zero():
+    # a one-column product M V[t] = U_inv[t] with V[t] = {j: 1} is read as
+    # M[j] == U_inv[t], which is the product only if no column stores a zero
+    words = list(enumerate_canonical_words(6, 4)) + [w(t) for t in HARD_WORDS]
+    assert len(words) == 272
+    for word in words:
+        for M, snf in chain_data(build(word)):
+            assert all(all(col.values()) for col in chain(M, snf.U_inv, snf.V)), word
+
+    # the comparison is the common case: the columns the certificates of the
+    # hard words check by product, the cleared ones left out
+    compared = checked = 0
+    for text in HARD_WORDS:
+        data = chain_data(build(w(text)))
+        for n, (M, snf) in enumerate(data):
+            units = len(data[n + 1][1].unit_rows) if n + 1 < len(data) else 0
+            checked += len(snf.V) - units
+            compared += sum(is_one_column(snf, t) for t in range(snf.rank))
+    assert (compared, checked) == (3845, 3852)
+
+
+@pytest.mark.parametrize("tamper", ["changed", "added", "dropped"])
+def test_one_column_certificate_rejects_tampering(tamper):
+    X = build(w("abcab"))
+    M, m = boundary_matrix(X, 2), boundary_rows(X, 2)
+    snf = smith_normal_form(M, m)
+    t = next(t for t in range(snf.rank) if is_one_column(snf, t) and len(snf.U_inv[t]) < m)
+    (j,) = snf.V[t]
+    assert M[j] == snf.U_inv[t]
+    col = snf.U_inv[t]
+    i = next(iter(col))
+    if tamper == "changed":
+        col[i] *= 2
+    elif tamper == "added":
+        col[min(set(range(m)) - set(col))] = 1
+    else:
+        del col[i]
+    assert not certified_by_products(M, snf)
+    with pytest.raises(ArithmeticError, match="M V = U_inv D"):
+        snf.check(M)
+
+
+@st.composite
+def sparse_matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, 2, -3))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=200)
+@given(sparse_matrices(), st.data())
+def test_check_agrees_with_the_product_route(M, data):
+    # the plain products of tests/reference.py are the second route, on the
+    # reduction as it is and with one entry of U_inv or V changed, added or
+    # dropped
+    cols, m = columns_of(M), len(M)
+    snf = smith_normal_form(cols, m)
+    snf.check(cols)
+    assert certified_by_products(cols, snf)
+
+    side = data.draw(st.sampled_from(("U_inv", "V")))
+    columns = getattr(snf, side)
+    t = data.draw(st.integers(0, len(columns) - 1))
+    i = data.draw(st.integers(0, (m if side == "U_inv" else len(cols)) - 1))
+    old = columns[t].get(i, 0)
+    x = data.draw(st.sampled_from((0, 1, -1, 2)).filter(lambda x: x != old))
+    if x:
+        columns[t][i] = x
+    else:
+        del columns[t][i]
+    try:
+        snf.check(cols)
+    except ArithmeticError as exc:
+        assert "M V = U_inv D" in str(exc)
+        passed = False
+    else:
+        passed = True
+    assert passed == certified_by_products(cols, snf)
 
 
 def test_certify_rejects_boundaries_that_do_not_compose(monkeypatch):
