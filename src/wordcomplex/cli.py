@@ -334,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="exhaustive verification sweep",
         description="Examine every canonical word within the bounds. A sweep "
-        "of at least 500 words runs on one worker process per usable CPU "
-        "(taskset -c 0 keeps it in one process); the report is the same "
-        "either way.",
+        f"of at least {verify.POOL_MIN_WORDS} words runs on one forked worker "
+        "process per usable CPU (taskset -c 0 keeps it in one process); the "
+        "report is the same either way.",
     )
     p.add_argument("--max-len", type=_int_at_least(1), default=8)
     p.add_argument("--alphabet", type=_int_at_least(1), default=4)

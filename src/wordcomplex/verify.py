@@ -4,7 +4,7 @@ Every canonical word within the bounds is pushed through all independent
 computation routes, and every cross-check lands in a deterministic report:
 failures are data, not exceptions, so a single run surfaces every witness.
 The words are independent, so a large sweep examines them in a pool of
-spawned worker processes, one per CPU the process may run on, and merges
+forked worker processes, one per CPU the process may run on, and merges
 the rows back in canonical order: the report does not depend on how many
 workers there were.
 """
@@ -218,10 +218,11 @@ def examine_word(word: Word) -> WordReport:
 
 
 # Fewest words a sweep hands to a worker pool; see `sweep`.
-POOL_MIN_WORDS = 500
+POOL_MIN_WORDS = 100
 # Chunks of words per worker. The words grow longer, and slower, in
 # canonical order, so the last chunks must be small enough to share out;
-# sweep(7, 4) took the same time (1.40 s, median of 5) with 4, 16 and 64.
+# sweep(7, 4) took 0.96 s with 16, against 1.01 s with 4 and 1.05 s with
+# 64 (forked pool, median of 7).
 CHUNKS_PER_WORKER = 16
 
 
@@ -237,33 +238,38 @@ def sweep(max_len: int, max_alphabet: int, dedup_reversal: bool = False) -> Swee
     """Examine every canonical word within the bounds, in canonical order.
 
     With more than one usable CPU and at least POOL_MIN_WORDS words, the
-    words are examined by one spawned worker process per CPU; otherwise in
-    this process (`taskset -c 0` forces that). Either way the rows come
-    back in canonical order, so the report is the same. Starting the pool
-    costs a few tenths of a second: on a 2-core host (Python 3.11, median
-    of 7 runs), sweep(5, 4), 74 words, took 0.07 s in-process against
-    0.23 s pooled, and sweep(6, 4), 261 words, 0.37 s against 0.41 s; hence
-    the threshold of about twice that. sweep(7, 4), 976 words, took 2.3 s
-    against 1.4 s.
+    words are examined by one forked worker process per CPU; otherwise,
+    or where the platform cannot fork, in this process (`taskset -c 0`
+    forces that). Either way the rows come back in canonical order, so
+    the report is the same. Forking the pool costs about 0.01 s, so it
+    pays from a few dozen words a worker: on a 2-core host (Python 3.11,
+    medians of 7 to 9 interleaved runs), sweep(5, 4), 74 words, took
+    0.05-0.06 s either way, sweep(7, 2), 127 words, 0.15 s in-process
+    against 0.10 s pooled, and sweep(6, 4), 261 words, 0.32 s against
+    0.20 s; hence a threshold a little above the tie. sweep(7, 4), 976
+    words, took 2.1 s against 1.1 s.
 
-    Spawned workers import the caller's main module, so a script that
-    sweeps that many words must call `sweep` under
-    `if __name__ == "__main__":`. Without the guard the workers fail as
-    they start, and `sweep` raises `BrokenProcessPool` at once. No worker
-    outlives the call, whether it returns or raises.
+    The workers inherit this process as it stands: the imported modules,
+    any function patched in them and the caller's main module, with
+    nothing imported or run again. Forking copies only the calling
+    thread, and a lock that another thread held at the fork stays held in
+    the worker, so call `sweep` from a process's only thread, as the CLI
+    does. The pool adds no thread before it forks: Python 3.11 starts
+    every worker before the pool's manager thread. No worker outlives the
+    call, whether it returns or raises.
     """
     todo = list(words.enumerate_canonical_words(max_len, max_alphabet, dedup_reversal))
     workers = usable_cpus()
-    if workers == 1 or len(todo) < POOL_MIN_WORDS:
+    if workers == 1 or len(todo) < POOL_MIN_WORDS or not hasattr(os, "fork"):
         rows = [examine_word(w) for w in todo]
     else:
         # imported here only: `cli` imports this module for every command
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        spawn = multiprocessing.get_context("spawn")
+        fork = multiprocessing.get_context("fork")
         chunksize = max(1, len(todo) // (CHUNKS_PER_WORKER * workers))
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             rows = list(pool.map(examine_word, todo, chunksize=chunksize))
     failures = [
         (row.word, name)

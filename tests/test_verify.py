@@ -1,14 +1,16 @@
+import hashlib
 import json
 import multiprocessing
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from wordcomplex import complexes, homology, morse, verify
 from wordcomplex.verify import check_tables, examine_word, sweep
-from wordcomplex.words import parse_word
+from wordcomplex.words import format_word, parse_word
 
 from conftest import env_importing_the_package
 
@@ -100,20 +102,24 @@ def test_boundaries_that_do_not_compose_fail_both_verdicts(monkeypatch):
     assert len(row.homology) == len(row.f_vector)
 
 
-def test_sweep_builds_each_word_once(monkeypatch):
-    calls = []
+def test_sweep_builds_each_word_once(monkeypatch, tmp_path):
+    # every process that builds appends to the log, the pool's workers too
+    log = tmp_path / "built"
     exact = complexes.build
 
-    def counting_build(word):
-        calls.append(word)
+    def logging_build(word):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(format_word(word) + "\n")
         return exact(word)
 
     for module in (verify, morse, complexes):
         if hasattr(module, "build"):
-            monkeypatch.setattr(module, "build", counting_build)
+            monkeypatch.setattr(module, "build", logging_build)
     report = sweep(6, 4)
     assert report.ok
-    assert len(calls) == len(report.rows)
+    assert sorted(log.read_text(encoding="utf-8").split()) == sorted(
+        row.word for row in report.rows
+    )
 
 
 @pytest.mark.parametrize(
@@ -142,11 +148,13 @@ def test_pooled_sweep_reports_the_in_process_bytes(monkeypatch, bounds, dedup_re
     assert multiprocessing.active_children() == []
 
 
-def test_unguarded_pooled_sweep_fails_fast(tmp_path):
-    # spawned workers re-run a script's module level as they start; without
-    # a __main__ guard they fail there, and the sweep must raise, not hang
+def test_unguarded_pooled_sweep_runs(tmp_path):
+    # forked workers inherit the script as it stands and run none of it
+    # again, so a script needs no __main__ guard around a pooled sweep
     script = tmp_path / "unguarded.py"
     script.write_text(textwrap.dedent("""\
+        import hashlib
+        import json
         import multiprocessing
 
         from wordcomplex import verify
@@ -154,17 +162,46 @@ def test_unguarded_pooled_sweep_fails_fast(tmp_path):
         verify.POOL_MIN_WORDS = 1
         verify.usable_cpus = lambda: 2
         try:
-            verify.sweep(3, 3)
+            report = verify.sweep(3, 3)
         finally:
             print("workers left:", len(multiprocessing.active_children()))
+        text = json.dumps(report.to_json(), sort_keys=True)
+        print(hashlib.sha256(text.encode()).hexdigest())
     """))
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env_importing_the_package(),
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode != 0
-    assert "BrokenProcessPool" in proc.stderr
-    assert proc.stdout.splitlines()[-1] == "workers left: 0"
+    assert proc.returncode == 0, proc.stderr
+    alone = json.dumps(sweep(3, 3).to_json(), sort_keys=True)
+    assert proc.stdout.splitlines() == [
+        "workers left: 0",
+        hashlib.sha256(alone.encode()).hexdigest(),
+    ]
+
+
+def test_pooled_workers_run_the_callers_code(monkeypatch):
+    # the workers inherit a law patched in this process, so a pooled sweep
+    # reports the same failure and note as the in-process one
+    step = morse.reduce_step
+
+    def refusing_step(word):
+        if format_word(word) == "abcab":
+            raise RuntimeError("reduce_step refused abcab")
+        return step(word)
+
+    monkeypatch.setattr(morse, "reduce_step", refusing_step)
+    alone = sweep(5, 3)
+    assert len(alone.rows) < verify.POOL_MIN_WORDS  # the in-process route
+    assert alone.failures == (("abcab", "reduction_law"),)
+
+    monkeypatch.setattr(verify, "POOL_MIN_WORDS", 1)
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    pooled = sweep(5, 3)
+    assert json.dumps(pooled.to_json(), sort_keys=True) == json.dumps(
+        alone.to_json(), sort_keys=True
+    )
+    assert multiprocessing.active_children() == []
 
 
 def test_failing_reduction_step_is_reported(monkeypatch):
@@ -215,6 +252,6 @@ def test_check_tables():
 def test_write_reports(tmp_path):
     report = sweep(2, 2)
     json_path, csv_path = verify.write_reports(report, str(tmp_path / "out"))
-    data = json.loads(open(json_path).read())
+    data = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert data["ok"] is True
-    assert open(csv_path).read() == report.to_csv()
+    assert Path(csv_path).read_text(encoding="utf-8") == report.to_csv()
