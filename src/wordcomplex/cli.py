@@ -161,11 +161,7 @@ def cmd_homology(args) -> int:
 
 def cmd_morse(args) -> int:
     word = _parse_word_arg(args.word, args.force)
-    try:
-        matching = morse.full_matching(word)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
+    matching = morse.full_matching(word)
     X = complexes.build(word)
     report = morse.matching_report(X, matching)
     order_valid = report["dims"] and report["incidence"] and report["locality"]

@@ -245,7 +245,6 @@ class Collapsing:
 class FreePair:
     sigma: int
     tau: int
-    face_index: int
 
 
 def free_pairs(X: DeltaComplex) -> list[FreePair]:
@@ -253,10 +252,10 @@ def free_pairs(X: DeltaComplex) -> list[FreePair]:
     have a free face."""
     view = Collapsing(X)
     out = [
-        FreePair(sigma, tau, i)
+        FreePair(sigma, tau)
         for tau, n in view.up.items()
         if n == 0
-        for i, sigma in enumerate(X.faces[tau])
+        for sigma in X.faces[tau]
         if view.is_free(sigma, tau)
     ]
     out.sort(key=lambda p: (X.dim_of[p.sigma], _label_key(X.labels[p.sigma])))

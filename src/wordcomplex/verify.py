@@ -3,6 +3,8 @@
 Every canonical word within the bounds is pushed through all independent
 computation routes, and every cross-check lands in a deterministic report:
 failures are data, not exceptions, so a single run surfaces every witness.
+The cross-checks are the table LAWS; one that raises ValueError,
+RuntimeError or ArithmeticError fails, and its message becomes a note.
 The words are independent, so a large sweep examines them in a pool of
 forked worker processes, one per CPU the process may run on, and merges
 the rows back in canonical order: the report does not depend on how many
@@ -21,20 +23,6 @@ from . import complexes, homology, morse, words
 from .words import Word, format_word
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
-
-CHECK_NAMES = (
-    "functoriality",
-    "euler_agreement",
-    "boundary_squares_to_zero",
-    "snf_certificates",
-    "torsion_free",
-    "homotopy_match",
-    "h1_law",
-    "matching_law",
-    "reduction_law",
-    "pseudomanifold_law",
-    "free_pair_law",
-)
 
 
 @dataclass(frozen=True)
@@ -112,108 +100,122 @@ class SweepReport:
         return out.getvalue()
 
 
-def _verdict(ok: bool) -> str:
-    return PASS if ok else FAIL
+class _Word:
+    """One word, the values its laws share, each computed once, and the
+    verdicts and notes so far. Each method is a law of LAWS."""
+
+    def __init__(self, word: Word):
+        self.word = word
+        self.X = X = complexes.build(word)
+        self.cls = cls = words.classify(word)
+        self.predicted = words.predict_homotopy(word)
+        self.exponents = words.reduced_form(word).exponents
+        self.eulers = (
+            words.euler_direct(word),
+            words.euler_recursive(word),
+            X.reduced_euler(),
+            -1 if cls.is_spherical else 0,
+        )
+        self.data = homology.chain_data(X)
+        self.profile = homology.profile_of(self.data)
+        self.checks: dict[str, str] = {}
+        self.notes: list[str] = []
+
+    def valid(self) -> bool:
+        self.X.validate()
+        return True
+
+    def composes(self) -> bool:
+        homology.check_composition(self.data)
+        return True
+
+    def certified(self) -> bool:
+        if self.checks[_COMPOSITION] == FAIL:  # the certificates rely on it
+            return False
+        homology.check_certificates(self.data)
+        return True
+
+    def matches_prediction(self) -> bool:
+        if self.predicted.kind == "contractible":
+            return self.profile.is_trivial()
+        return self.profile.sphere_dimension() == self.predicted.sphere_dim
+
+    def h1(self) -> bool:
+        want = 1 if self.cls.is_circular else 0
+        return self.profile.betti(1) == want and not self.profile.torsion(1)
+
+    def matching_valid(self) -> bool | None:
+        if not all(e % 2 == 0 for e in self.exponents[:-1]):
+            return None
+        matching = morse.full_matching(self.word)
+        rep = morse.matching_report(self.X, matching)
+        want_critical = 0 if self.exponents[-1] % 2 else 1
+        ok = all(rep.values()) and len(matching.critical) == want_critical
+        if not ok:
+            self.notes.append(f"matching {rep}, {len(matching.critical)} critical")
+        return ok
+
+    def reduces_to_core(self) -> bool:
+        terminal = morse.reduce_to_core(self.X).terminal
+        if self.cls.is_spherical:
+            return terminal == words.fundamental_subword(self.word)
+        return len(terminal) == 1
+
+    def pseudomanifold(self) -> bool:
+        want = all(e == 2 for e in self.exponents)
+        return complexes.is_pseudomanifold(self.X) == want
+
+    def no_free_pair(self) -> bool | None:
+        if not all(e >= 2 for e in self.exponents):
+            return None
+        return not complexes.free_pairs(self.X)
+
+
+# The laws in report order; each returns True (pass), False (fail) or None
+# (skip: the law does not apply to the word).
+_COMPOSITION = "boundary_squares_to_zero"
+LAWS = (
+    ("functoriality", _Word.valid),
+    ("euler_agreement", lambda w: len(set(w.eulers)) == 1),
+    (_COMPOSITION, _Word.composes),
+    ("snf_certificates", _Word.certified),
+    ("torsion_free", lambda w: not w.profile.has_torsion()),
+    ("homotopy_match", _Word.matches_prediction),
+    ("h1_law", _Word.h1),
+    ("matching_law", _Word.matching_valid),
+    ("reduction_law", _Word.reduces_to_core),
+    ("pseudomanifold_law", _Word.pseudomanifold),
+    ("free_pair_law", _Word.no_free_pair),
+)
+CHECK_NAMES = tuple(name for name, _ in LAWS)
 
 
 def examine_word(word: Word) -> WordReport:
-    """Run every check on one word; check outcomes never raise."""
-    checks: dict[str, str] = {}
-    notes: list[str] = []
-
-    X = complexes.build(word)
-    try:
-        X.validate()
-        checks["functoriality"] = PASS
-    except ValueError as exc:
-        checks["functoriality"] = FAIL
-        notes.append(str(exc))
-
-    cls = words.classify(word)
-    predicted = words.predict_homotopy(word)
-    e_direct = words.euler_direct(word)
-    e_rec = words.euler_recursive(word)
-    e_fvec = X.reduced_euler()
-    e_thm = -1 if cls.is_spherical else 0
-    checks["euler_agreement"] = _verdict(e_direct == e_rec == e_fvec == e_thm)
-
-    data = homology.chain_data(X)
-    try:
-        homology.check_composition(data)
-        checks["boundary_squares_to_zero"] = PASS
-        homology.check_certificates(data)  # relies on the composition
-        checks["snf_certificates"] = PASS
-    except ArithmeticError as exc:
-        checks.setdefault("boundary_squares_to_zero", FAIL)
-        checks["snf_certificates"] = FAIL
-        notes.append(str(exc))
-    profile = homology.profile_of(data)
-
-    checks["torsion_free"] = _verdict(not profile.has_torsion())
-
-    if predicted.kind == "contractible":
-        match = profile.is_trivial()
-    else:
-        match = profile.sphere_dimension() == predicted.sphere_dim
-    checks["homotopy_match"] = _verdict(match)
-
-    want_h1 = 1 if cls.is_circular else 0
-    checks["h1_law"] = _verdict(
-        profile.betti(1) == want_h1 and not profile.torsion(1)
-    )
-
-    rf = words.reduced_form(word)
-    exponents = rf.exponents
-    if all(e % 2 == 0 for e in exponents[:-1]):
+    """Run every law of LAWS on one word, in report order. A law that
+    raises ValueError, RuntimeError or ArithmeticError (the errors
+    `cli.main` turns into exit 1) fails, and its message becomes a note."""
+    w = _Word(word)
+    for name, law in LAWS:
         try:
-            matching = morse.full_matching(word)
-            rep = morse.matching_report(X, matching)
-            want_critical = 0 if exponents[-1] % 2 else 1
-            ok = all(rep.values()) and len(matching.critical) == want_critical
-            checks["matching_law"] = _verdict(ok)
-            if not ok:
-                notes.append(f"matching {rep}, {len(matching.critical)} critical")
-        except (ValueError, RuntimeError) as exc:
-            checks["matching_law"] = FAIL
-            notes.append(str(exc))
-    else:
-        checks["matching_law"] = SKIP
-
-    try:
-        trace = morse.reduce_to_core(X)
-        if cls.is_spherical:
-            ok = trace.terminal == words.fundamental_subword(word)
-        else:
-            ok = len(trace.terminal) == 1
-        checks["reduction_law"] = _verdict(ok)
-    except (ValueError, RuntimeError) as exc:
-        checks["reduction_law"] = FAIL
-        notes.append(str(exc))
-
-    is_pm = complexes.is_pseudomanifold(X)
-    checks["pseudomanifold_law"] = _verdict(
-        is_pm == all(e == 2 for e in exponents)
-    )
-
-    if all(e >= 2 for e in exponents):
-        checks["free_pair_law"] = _verdict(not complexes.free_pairs(X))
-    else:
-        checks["free_pair_law"] = SKIP
-
+            ok = law(w)
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            ok = False
+            w.notes.append(str(exc))
+        w.checks[name] = SKIP if ok is None else PASS if ok else FAIL
     return WordReport(
         word=format_word(word),
-        f_vector=X.f_vector(),
-        euler_direct=e_direct,
-        euler_recursive=e_rec,
-        euler_f_vector=e_fvec,
-        euler_theorem=e_thm,
-        is_spherical=cls.is_spherical,
-        is_circular=cls.is_circular,
-        circular_factors=len(cls.circular_factors),
-        predicted=str(predicted),
-        homology=profile.groups,
-        checks=checks,
-        notes=tuple(notes),
+        f_vector=w.X.f_vector(),
+        euler_direct=w.eulers[0],
+        euler_recursive=w.eulers[1],
+        euler_f_vector=w.eulers[2],
+        euler_theorem=w.eulers[3],
+        is_spherical=w.cls.is_spherical,
+        is_circular=w.cls.is_circular,
+        circular_factors=len(w.cls.circular_factors),
+        predicted=str(w.predicted),
+        homology=w.profile.groups,
+        checks=w.checks,
+        notes=tuple(w.notes),
     )
 
 
@@ -371,22 +373,16 @@ def check_tables() -> TablesReport:
         for w in words.enumerate_canonical_words(5, 5, dedup_reversal=True)
         if len(w) == 5 and words.is_decomposable(w) is None
     )
-    ok_le_4 = {
-        words.reversal_representative(w) for w in found_le_4
-    } == _reversal_reps(TABLE_LENGTH_AT_MOST_4)
-    reps_5 = {words.reversal_representative(w): w for w in found_5}
-    table_reps_5 = _reversal_reps(TABLE_LENGTH_5)
-    unlisted = tuple(
-        format_word(reps_5[r]) for r in sorted(set(reps_5) - table_reps_5)
-    )
-    missing = tuple(
-        format_word(r) for r in sorted(table_reps_5 - set(reps_5))
-    )
+    # every enumerated word is already its own reversal representative
+    table_5 = _reversal_reps(TABLE_LENGTH_5)
+    unlisted = tuple(format_word(w) for w in sorted(set(found_5) - table_5))
+    missing = tuple(format_word(w) for w in sorted(table_5 - set(found_5)))
     return TablesReport(
         tuple(format_word(w) for w in found_le_4),
         tuple(format_word(w) for w in found_5),
-        ok_le_4 and len(found_le_4) == 9,
-        not unlisted and not missing and len(found_5) == 13,
+        set(found_le_4) == _reversal_reps(TABLE_LENGTH_AT_MOST_4)
+        and len(found_le_4) == len(TABLE_LENGTH_AT_MOST_4),
+        not unlisted and not missing and len(found_5) == len(TABLE_LENGTH_5),
         unlisted,
         missing,
     )

@@ -186,8 +186,9 @@ def test_morse_command(capsys):
     assert payload["critical"] == ["aabb"]
     assert payload["collapsing_order_valid"] is True
 
-    code, _, err = run(capsys, "morse", "abb")
-    assert code == 1 and "even" in err
+    code, out, err = run(capsys, "morse", "abb")
+    assert code == 1 and out == ""
+    assert err == "error: all run exponents before the last must be even\n"
 
 
 def test_collapse_command_modes(capsys):

@@ -102,6 +102,18 @@ def test_boundaries_that_do_not_compose_fail_both_verdicts(monkeypatch):
     assert len(row.homology) == len(row.f_vector)
 
 
+def test_a_law_that_raises_fails_with_its_message(monkeypatch):
+    def refuse(X):
+        raise RuntimeError("is_pseudomanifold refused")
+
+    monkeypatch.setattr(complexes, "is_pseudomanifold", refuse)
+    row = examine_word(parse_word("aabb"))
+    assert row.checks["pseudomanifold_law"] == "fail"
+    assert "is_pseudomanifold refused" in row.notes
+    others = set(verify.CHECK_NAMES) - {"pseudomanifold_law"}
+    assert {row.checks[name] for name in others} == {"pass"}
+
+
 def test_sweep_builds_each_word_once(monkeypatch, tmp_path):
     # every process that builds appends to the log, the pool's workers too
     log = tmp_path / "built"
