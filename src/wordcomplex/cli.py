@@ -59,9 +59,12 @@ def _int_at_least(low: int):
     return integer
 
 
-def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _emit_json(payload, out=None) -> None:
+    """The payload as JSON, indented, with sorted keys and a trailing
+    newline, to out (stdout when None)."""
+    out = sys.stdout if out is None else out
+    json.dump(payload, out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 def _analyze_payload(word: words.Word) -> dict:
@@ -259,14 +262,29 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _write_reports(
+    report: verify.SweepReport, payload: dict, directory: str
+) -> tuple[str, str]:
+    """Write report.json, the payload as --json prints it, and report.csv
+    into the directory; returns their paths."""
+    json_path = os.path.join(directory, "report.json")
+    csv_path = os.path.join(directory, "report.csv")
+    with open(json_path, "w", encoding="utf-8") as fh:
+        _emit_json(payload, fh)
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(report.to_csv())
+    return json_path, csv_path
+
+
 def cmd_sweep(args) -> int:
     directory = os.environ.get("WORDCOMPLEX_REPORT_DIR")
     if directory:
         os.makedirs(directory, exist_ok=True)  # an unusable one fails before the sweep
     report = verify.sweep(args.max_len, args.alphabet, args.dedup_reversal)
-    written = verify.write_reports(report, directory) if directory else None
+    payload = report.to_json() if args.json or directory else None
+    written = _write_reports(report, payload, directory) if directory else None
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json(payload)
     else:
         print(
             f"swept {len(report.rows)} words "

@@ -266,25 +266,22 @@ def free_pairs(X: DeltaComplex) -> list[FreePair]:
 # Barycentric subdivision
 
 
-@lru_cache(maxsize=None)
 def _flags(dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All strictly increasing chains of nonempty position subsets of a
     dim-cell ending at the full set."""
-    full = tuple(range(dim + 1))
-    subsets = [
-        tuple(s)
-        for size in range(1, dim + 2)
-        for s in combinations(range(dim + 1), size)
-    ]
-    chains_to: dict[tuple[int, ...], list[tuple]] = {}
-    for s in subsets:  # combinations order lists subsets before their supersets
-        chains = [(s,)]
-        sset = set(s)
-        for t in subsets:
-            if len(t) < len(s) and set(t) < sset:
-                chains.extend(chain + (s,) for chain in chains_to[t])
-        chains_to[s] = chains
-    return tuple(chains_to[full])
+    return _chains(tuple(range(dim + 1)))
+
+
+@lru_cache(maxsize=None)
+def _chains(top: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(top,), then every chain of a proper nonempty subset of top with top
+    appended, the subsets by size and then in combinations order."""
+    return ((top,),) + tuple(
+        chain + (top,)
+        for size in range(1, len(top))
+        for s in combinations(top, size)
+        for chain in _chains(s)
+    )
 
 
 def _ordered_partitions(m: int, j: int) -> int:

@@ -20,8 +20,17 @@ a reversal when only the last run is odd, drives every word to its
 fundamental subword or to a single letter. Deletion only loses subwords
 and reversal only relabels, so the reduction reads the word's built complex,
 uncopied, through one live view (complexes.Collapsing) from which each
-step's order check removes the matched cells: see reduce_to_core. The
-alternating collapses run on such a view too, by its free-pair test.
+step's order check removes the matched cells: see reduce_to_core.
+
+An alternating word, with a its first letter and b its second, collapses
+by explicit rules instead (alt_partner): for every block prefix
+p = (a^2 b^2)^k and every tail s, R1 pairs p+b+s with p+ab+s, R2 p+a^3+s
+with p+a^2ba+s, R3 p with p+a, and R4 p+a^2 with p+a^2b. A rule applies
+only when both of its cells are simplices of the word's complex, and
+exactly the fundamental subword stays unmatched when 3 divides the length,
+nothing otherwise. The rule pairs are read off the labels of the word's
+complex and run as elementary collapses on a live view of it, by its
+free-pair test: see alternating_collapse.
 
 A valid removal order is an acyclic matching with unit incidence, which
 reduces the chain complex (algebraic Morse theory), and not a sequence of
@@ -30,7 +39,7 @@ elementary collapses: see validate_collapsing_order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import gt, ne
 from typing import Optional
 
@@ -78,13 +87,11 @@ class Matching:
     # partner of another same-dimension pair.
     pairs: tuple[tuple[Word, Word], ...]
     critical: tuple[Word, ...]
-    rules: tuple[str, ...] = field(default=())  # per-pair tags when rule-driven
 
     def to_json(self) -> dict:
-        rules = self.rules or ("mu",) * len(self.pairs)
         return {
             "word": format_word(self.word),
-            "pairs": _pairs_json(self.pairs, rules),
+            "pairs": _pairs_json(self.pairs, ("mu",) * len(self.pairs)),
             "critical": [_word_name(c) for c in self.critical],
         }
 
@@ -221,7 +228,7 @@ def matching_report(X: DeltaComplex, matching: Matching) -> dict[str, bool]:
     critical = {X.id_of_label.get(c) for c in matching.critical} - {None}
     view = Collapsing(X)
     view.remove(*critical)
-    checks = validate_collapsing_order(view, matching.pairs).checks
+    checks = validate_collapsing_order(view, matching.pairs)
     return {
         "partition": once and set(named) == X.id_of_label.keys() | {EMPTY},
         "dims": all(c.dims_ok for c in checks),
@@ -235,7 +242,6 @@ class PairCheck:
     sigma: Word
     tau: Word
     dims_ok: bool
-    incidence: int
     incidence_ok: bool
     upward_closed: bool
 
@@ -244,22 +250,17 @@ class PairCheck:
         return self.dims_ok and self.incidence_ok and self.upward_closed
 
 
-@dataclass(frozen=True)
-class CollapsingOrderReport:
-    checks: tuple[PairCheck, ...]
-    valid: bool
-
-
 def validate_collapsing_order(
     view: Collapsing, pairs: tuple[tuple[Word, Word], ...]
-) -> CollapsingOrderReport:
+) -> tuple[PairCheck, ...]:
     """Check a removal order pair by pair on a partly collapsed complex:
     adjacent dimensions, incidence +-1, and everything above sigma already
-    removed. The empty tuple is accepted as a sigma: the augmentation cell,
-    below every cell with incidence one against each vertex. Each pair's
-    cells are removed from the view at its turn, whatever its verdict; a
-    pair naming a cell the view has removed already, or a cell outside its
-    complex, raises before any is.
+    removed; the order is valid when every pair's check is ok. The empty
+    tuple is accepted as a sigma: the augmentation cell, below every cell
+    with incidence one against each vertex. Each pair's cells are removed
+    from the view at its turn, whatever its verdict; a pair naming a cell
+    the view has removed already, or a cell outside its complex, raises
+    before any is.
 
     A valid order is an acyclic matching with unit incidence, not a
     sequence of elementary collapses: sigma may be a face of tau more than
@@ -282,20 +283,19 @@ def validate_collapsing_order(
     for s, t in pairs:
         tid = ids[t]
         if s == EMPTY:
-            dims_ok = X.dim_of[tid] == 0
-            inc = 1 if dims_ok else 0
+            dims_ok = inc_ok = X.dim_of[tid] == 0
             up_ok = X.dim_of.keys() - view.removed <= {tid}
         else:
             sid = ids[s]
             dims_ok = X.dim_of[sid] == X.dim_of[tid] - 1
-            inc = incidence(X, sid, tid) if dims_ok else 0
+            inc_ok = dims_ok and abs(incidence(X, sid, tid)) == 1
             hits = X.faces[tid].count(sid)  # the deletions of tau that give sigma
             live_hits = 0 if tid in view.removed else hits
             up_ok = up[sid] == live_hits and (not hits or up[tid] == 0)
             view.remove(sid)
-        checks.append(PairCheck(s, t, dims_ok, inc, abs(inc) == 1, up_ok))
+        checks.append(PairCheck(s, t, dims_ok, inc_ok, up_ok))
         view.remove(tid)
-    return CollapsingOrderReport(tuple(checks), all(c.ok for c in checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,6 @@ class ReductionStep:
     kind: str  # "delete", "flip", or "contract"
     before: Word
     after: Word
-    run_index: Optional[int]  # 1-based first odd run, for delete steps
     matching: Optional[Matching]
 
 
@@ -359,7 +358,8 @@ class ReductionTrace:
                     "kind": s.kind,
                     "before": format_word(s.before),
                     "after": format_word(s.after),
-                    "run_index": s.run_index,
+                    # the 1-based first odd run a delete step flips at
+                    "run_index": s.matching.t if s.kind == "delete" else None,
                     "matching": s.matching.to_json() if s.matching else None,
                 }
                 for s in self.steps
@@ -410,10 +410,10 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             break  # the word is its own fundamental subword
         if odd < len(alpha) - 1:
             after, matching = reduce_step(current)
-            step = ReductionStep("delete", current, after, matching.t, matching)
+            step = ReductionStep("delete", current, after, matching)
         elif len(alpha) > 1:
             flipped = current[::-1]
-            steps.append(ReductionStep("flip", current, flipped, None, None))
+            steps.append(ReductionStep("flip", current, flipped, None))
             current, backwards = flipped, not backwards
             continue
         elif alpha[0] == 1:
@@ -423,13 +423,12 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             # perfect, so everything above the base vertex collapses away
             matching = full_matching(current)
             after = current[:1]
-            step = ReductionStep("contract", current, after, None, matching)
+            step = ReductionStep("contract", current, after, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
         if backwards:
             pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
-        report = validate_collapsing_order(view, pairs)
-        if not report.valid:
-            bad = [c for c in report.checks if not c.ok]
+        bad = [c for c in validate_collapsing_order(view, pairs) if not c.ok]
+        if bad:
             raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
         live = {X.labels[c] for c in X.dim_of.keys() - view.removed}
         survivors = distinct_subwords(after)
@@ -484,38 +483,6 @@ def alt_partner(u: Word, a: int, b: int) -> tuple[Word, str, bool]:
     raise RuntimeError(f"unclassified two-letter word {u}")
 
 
-def alternating_matching(word: Word) -> Matching:
-    """The rule matching on the complex of an alternating word, with a its
-    first letter and b its second; a rule applies only when both of its
-    cells are simplices. Exactly the fundamental subword stays unmatched
-    when 3 divides the length, nothing otherwise.
-
-    Pairs come in removal order: by descending dimension, then by sigma
-    read with a before b, whichever letter sorts first."""
-    if not is_alternating(word):
-        raise ValueError(f"{format_word(word)} does not alternate between two letters")
-    a = word[0]
-    b = word[1] if len(word) > 1 else a  # a single letter has no second
-    cells = set(distinct_subwords(word)) | {EMPTY}
-    pairs = []
-    rules = []
-    critical = []
-    for u in sorted(cells, key=lambda s: (-len(s), [x != a for x in s])):
-        partner, rule, is_lower = alt_partner(u, a, b)
-        if partner not in cells:
-            critical.append(u)
-            continue
-        back, _, _ = alt_partner(partner, a, b)
-        if back != u:
-            raise RuntimeError(f"rules are not involutive at {u}")
-        if is_lower:
-            pairs.append((u, partner))
-            rules.append(rule)
-    if 2 * len(pairs) + len(critical) != len(cells):
-        raise RuntimeError(f"rules do not partition the cells of {format_word(word)}")
-    return Matching(word, 0, tuple(pairs), tuple(critical), tuple(rules))
-
-
 @dataclass(frozen=True)
 class CollapseRun:
     word: Word
@@ -538,43 +505,65 @@ def alternating_collapse(word: Word) -> CollapseRun:
     highest dimension first: to a single vertex when 3 does not divide its
     length, onto the subcomplex of the fundamental subword when it does.
 
-    Every executed pair is checked as an elementary collapse at its turn;
-    when 3 divides the length the rule pairs never straddle the core
-    subcomplex, so skipping the pairs inside it removes exactly the outside
-    cells.
+    The pairs are those of the rule matching (alt_partner), with a the
+    word's first letter and b its second (a again for a single letter),
+    read off the labels of the word's complex: a rule applies only when
+    both of its cells are simplices, the empty cell included. The rules
+    must be an involution there, and leave exactly the fundamental subword
+    unmatched when 3 divides the length, nothing otherwise.
+
+    The pairs are tried in removal order: by descending dimension, then by
+    sigma read with a before b, whichever letter sorts first. Every
+    executed pair is checked as an elementary collapse at its turn; when 3
+    divides the length the rule pairs never straddle the core subcomplex,
+    so skipping the pairs inside it removes exactly the outside cells.
     """
-    matching = alternating_matching(word)
     name = format_word(word)
+    if not is_alternating(word):
+        raise ValueError(f"{name} does not alternate between two letters")
+    a = word[0]
+    b = word[1] if len(word) > 1 else a  # a single letter has no second
+    X = build(word)
+    ids = X.id_of_label
+    cells = ids.keys() | {EMPTY}
+    matched, critical = [], []
+    for u in sorted(cells, key=lambda s: (-len(s), [x != a for x in s])):
+        partner, rule, is_lower = alt_partner(u, a, b)
+        if partner not in cells:
+            critical.append(u)
+            continue
+        if alt_partner(partner, a, b)[0] != u:
+            raise RuntimeError(f"rules are not involutive at {u}")
+        if is_lower:
+            matched.append((u, partner, rule))
+    if 2 * len(matched) + len(critical) != len(cells):
+        raise RuntimeError(f"rules do not partition the cells of {name}")
     core = fundamental_subword(word) if len(word) % 3 == 0 else None
-    expected_critical = (core,) if core else ()
-    if matching.critical != expected_critical:
-        raise RuntimeError(f"unexpected critical cells {matching.critical}")
+    if critical != ([core] if core else []):
+        raise RuntimeError(f"unexpected critical cells {tuple(critical)}")
 
-    if core:
-        keep = set(distinct_subwords(core))
-        for s, t in matching.pairs:
-            if s != EMPTY and (s in keep) != (t in keep):
-                raise RuntimeError(f"rule pair ({s}, {t}) straddles the core")
-    else:
-        keep = {word[:1]}  # the base vertex survives
-
-    pending = [
-        (s, t, rule)
-        for (s, t), rule in zip(matching.pairs, matching.rules)
-        if s != EMPTY and s not in keep and t not in keep
-    ]
+    # the base vertex survives when there is no core; it pairs only with
+    # the empty cell, so no pair can straddle it
+    keep = set(distinct_subwords(core)) if core else {word[:1]}
+    pending = []
+    for s, t, rule in matched:
+        if s == EMPTY:
+            continue
+        if (s in keep) != (t in keep):
+            raise RuntimeError(f"rule pair ({s}, {t}) straddles the core")
+        if s not in keep:
+            pending.append((s, t, rule))
 
     # A pair can only be collapsed once its cells are free, which may force
     # another pair of the same dimension to go first; scheduling greedily
     # (highest dimension first, rescanning after progress) finds the order.
     # The collapses run on the one complex, read live.
-    X = build(word)
     view = Collapsing(X)
     pairs, rules = [], []
     while pending:
         waiting = []
         for s, t, rule in pending:
-            sid, tid = X.id_of_label[s], X.id_of_label[t]
+            sid, tid = ids[s], ids[t]
             if view.is_free(sid, tid):
                 view.remove(sid, tid)
                 pairs.append((s, t))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass
 
@@ -136,7 +135,7 @@ class _Word:
         return True
 
     def matches_prediction(self) -> bool:
-        if self.predicted.kind == "contractible":
+        if self.predicted.sphere_dim is None:
             return self.profile.is_trivial()
         return self.profile.sphere_dimension() == self.predicted.sphere_dim
 
@@ -386,16 +385,3 @@ def check_tables() -> TablesReport:
         unlisted,
         missing,
     )
-
-
-def write_reports(report: SweepReport, directory: str) -> tuple[str, str]:
-    """Write report.json and report.csv into the directory; returns paths."""
-    os.makedirs(directory, exist_ok=True)
-    json_path = os.path.join(directory, "report.json")
-    csv_path = os.path.join(directory, "report.csv")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    return json_path, csv_path

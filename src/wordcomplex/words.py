@@ -175,7 +175,6 @@ class WordClassification:
     a non-spherical word splits as (spherical prefix) + (conical tail).
     """
 
-    word: Word
     is_circular: bool
     is_conical: bool
     is_spherical: bool
@@ -202,7 +201,6 @@ def classify(word: Word) -> WordClassification:
         rest = rest[j + 1 :]
     spherical = not rest
     return WordClassification(
-        word=word,
         is_circular=spherical and len(factors) == 1,
         is_conical=bool(word) and word[0] not in word[1:],
         is_spherical=spherical,
@@ -222,21 +220,12 @@ def fundamental_subword(word: Word) -> Word:
 
 @dataclass(frozen=True)
 class HomotopyType:
-    kind: str  # "contractible" or "sphere"
-    sphere_dim: Optional[int] = None
-
-    @classmethod
-    def contractible(cls) -> "HomotopyType":
-        return cls("contractible")
-
-    @classmethod
-    def sphere(cls, dim: int) -> "HomotopyType":
-        return cls("sphere", dim)
+    sphere_dim: Optional[int]  # None for a contractible type
 
     def __str__(self) -> str:
-        if self.kind == "sphere":
-            return f"S^{self.sphere_dim}"
-        return "contractible"
+        if self.sphere_dim is None:
+            return "contractible"
+        return f"S^{self.sphere_dim}"
 
 
 def predict_homotopy(word: Word) -> HomotopyType:
@@ -246,8 +235,8 @@ def predict_homotopy(word: Word) -> HomotopyType:
         raise ValueError("the empty word has no complex to classify")
     cls = classify(word)
     if cls.is_spherical:
-        return HomotopyType.sphere(2 * len(cls.circular_factors) - 1)
-    return HomotopyType.contractible()
+        return HomotopyType(2 * len(cls.circular_factors) - 1)
+    return HomotopyType(None)
 
 
 def is_decomposable(word: Word) -> Optional[tuple[Word, Word]]:

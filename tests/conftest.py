@@ -328,10 +328,10 @@ def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
             break
         if odd < len(alpha) - 1:
             after, matching = morse.reduce_step(current)
-            step = morse.ReductionStep("delete", current, after, matching.t, matching)
+            step = morse.ReductionStep("delete", current, after, matching)
         elif len(alpha) > 1:
             flipped = current[::-1]
-            steps.append(morse.ReductionStep("flip", current, flipped, None, None))
+            steps.append(morse.ReductionStep("flip", current, flipped, None))
             current, X = flipped, reversed_complex(X)
             continue
         elif alpha[0] == 1:
@@ -339,9 +339,10 @@ def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
         else:
             matching = morse.full_matching(current)
             after = current[:1]
-            step = morse.ReductionStep("contract", current, after, None, matching)
+            step = morse.ReductionStep("contract", current, after, matching)
         pairs = tuple(p for p in matching.pairs if p[0] != morse.EMPTY)
-        if not morse.validate_collapsing_order(Collapsing(X), pairs).valid:
+        checks = morse.validate_collapsing_order(Collapsing(X), pairs)
+        if not all(c.ok for c in checks):
             raise RuntimeError(f"collapsing order invalid for {current}")
         X = without(X, (X.id_of_label[u] for pair in pairs for u in pair))
         if set(X.id_of_label) != distinct_subwords(after):

@@ -9,7 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from wordcomplex import cli
+from wordcomplex import cli, verify
 from wordcomplex.cli import main
 from wordcomplex.words import (
     distinct_subwords,
@@ -274,14 +274,31 @@ def test_tables_command(capsys):
 
 
 def test_sweep_command(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("WORDCOMPLEX_REPORT_DIR", str(tmp_path / "reports"))
-    code, payload, _ = run_json(capsys, "sweep", "--max-len", "3", "--alphabet", "3")
+    reports = tmp_path / "reports"
+    monkeypatch.setenv("WORDCOMPLEX_REPORT_DIR", str(reports))
+    code, out, _ = run(capsys, "sweep", "--max-len", "3", "--alphabet", "3", "--json")
     assert code == 0
+    payload = json.loads(out)
     validate(payload, "sweep")
     assert payload["ok"] is True
-    written = json.loads((tmp_path / "reports" / "report.json").read_text())
-    assert written == payload
-    assert (tmp_path / "reports" / "report.csv").exists()
+    # report.json is the --json output byte for byte, report.csv the CSV
+    assert (reports / "report.json").read_text(encoding="utf-8") == out
+    csv_text = (reports / "report.csv").read_text(encoding="utf-8")
+    assert csv_text == verify.sweep(3, 3).to_csv()
+
+
+def test_write_reports(capsys, tmp_path, monkeypatch):
+    # without --json the reports are written all the same, into a directory
+    # the sweep makes, and the text output names them
+    reports = tmp_path / "out"
+    monkeypatch.setenv("WORDCOMPLEX_REPORT_DIR", str(reports))
+    code, out, _ = run(capsys, "sweep", "--max-len", "2", "--alphabet", "2")
+    assert code == 0
+    json_path, csv_path = reports / "report.json", reports / "report.csv"
+    assert f"reports written to {json_path} and {csv_path}" in out
+    data = json.loads(json_path.read_text(encoding="utf-8"))
+    assert data["ok"] is True
+    assert csv_path.read_text(encoding="utf-8") == verify.sweep(2, 2).to_csv()
 
 
 def test_sweep_refuses_an_unusable_report_dir_before_sweeping(

@@ -1,8 +1,8 @@
 """The library's imports and names: every module-level import of a library
-module is used by that module, every module-level function is named by the
-library outside its own body, no library module names the coface table,
-only words.py renames letters, and importing the command line loads no
-pool module."""
+module is used by that module, every module-level function and class is
+named by the library outside its own body, no library module names the
+coface table, only words.py renames letters, and importing the command line
+loads no pool module."""
 
 import ast
 import subprocess
@@ -63,12 +63,12 @@ def test_library_modules_use_every_import():
     assert not any(unused.values()), unused
 
 
-def unnamed_functions(sources: dict[str, str]) -> list[str]:
-    """The module-level functions, as module.function, that no module of
-    sources names outside the function's own definition.
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes, as module.name, that no
+    module of sources names outside the definition's own body.
 
     A name counts when a statement loads it or reads an attribute of that
-    name, so the check cannot tell a function from anything else called
+    name, so the check cannot tell a definition from anything else called
     the same: a function named like a method of another type passes (join,
     as str.join reads), and so does one that shares its name with a local
     variable or a parameter.
@@ -84,7 +84,9 @@ def unnamed_functions(sources: dict[str, str]) -> list[str]:
     }
     unnamed = []
     for (module, i), (node, _) in statements.items():
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
             continue
         if not any(
             node.name in names
@@ -98,17 +100,19 @@ def unnamed_functions(sources: dict[str, str]) -> list[str]:
 def test_the_checker_sees_an_unnamed_function():
     sources = {
         "a": "def used():\n    return 1\n\ndef spare():\n    return spare()\n",
-        "b": "from a import used\n\nx = used()\n",
+        "b": "from a import used, Kept\n\nx = used(), Kept()\n",
         "c": "def method_named():\n    pass\n\ny = ''.method_named\n",
+        "d": "class Kept:\n    pass\n\nclass Spare:\n    def new(self):\n"
+        "        return Spare()\n",
     }
-    assert unnamed_functions(sources) == ["a.spare"]
+    assert unnamed_definitions(sources) == ["a.spare", "d.Spare"]
 
 
 def test_library_names_every_function():
-    # a function only the tests call is a second route; it lives in
+    # a function or class only the tests use is a second route; it lives in
     # tests/reference.py, not in the library
     sources = {p.stem: p.read_text() for p in SOURCES}
-    assert unnamed_functions(sources) == []
+    assert unnamed_definitions(sources) == []
 
 
 def test_no_library_module_names_the_coface_table():

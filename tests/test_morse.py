@@ -13,7 +13,6 @@ from wordcomplex.morse import (
     EMPTY,
     alt_partner,
     alternating_collapse,
-    alternating_matching,
     full_matching,
     is_alternating,
     matching_report,
@@ -182,7 +181,8 @@ def test_full_matching_report_and_order():
         report = matching_report(X, m)
         assert all(report.values()), (word, report)
         skeleton = skeleton_for_matching(X, m)
-        assert validate_collapsing_order(Collapsing(skeleton), m.pairs).valid, word
+        checks = validate_collapsing_order(Collapsing(skeleton), m.pairs)
+        assert all(c.ok for c in checks), word
 
 
 def test_full_matching_tuples_are_left_shifted(named_tuples):
@@ -305,7 +305,8 @@ def test_order_check_accepts_a_pair_that_is_no_elementary_collapse():
     X = build(w("aaa"))
     aa, aaa = X.id_of_label[w("aa")], X.id_of_label[w("aaa")]
     assert X.faces[aaa] == (aa, aa, aa)
-    assert validate_collapsing_order(Collapsing(X), ((w("aa"), w("aaa")),)).valid
+    checks = validate_collapsing_order(Collapsing(X), ((w("aa"), w("aaa")),))
+    assert all(c.ok for c in checks)
     with pytest.raises(ValueError, match="3 deletions of tau hit sigma"):
         elementary_collapse(X, aa, aaa)
     assert not Collapsing(X).is_free(aa, aaa)
@@ -315,7 +316,7 @@ def test_order_check_accepts_a_pair_that_is_no_elementary_collapse():
 
 
 def test_validate_empty_order():
-    assert validate_collapsing_order(Collapsing(build(w("aba"))), ()).valid
+    assert validate_collapsing_order(Collapsing(build(w("aba"))), ()) == ()
 
 
 def test_validate_rejects_foreign_cells():
@@ -327,19 +328,19 @@ def test_dimension_increasing_order_is_invalid():
     m = full_matching(w("aaa"))
     X = build(w("aaa"))
     backwards = tuple(reversed(m.pairs))
-    report = validate_collapsing_order(Collapsing(X), backwards)
-    assert not report.valid
-    assert not report.checks[0].upward_closed
+    checks = validate_collapsing_order(Collapsing(X), backwards)
+    assert not all(c.ok for c in checks)
+    assert not checks[0].upward_closed
 
 
 def test_order_conditions_reported_per_pair():
     m = full_matching(w("aaaa"))
     X = build(w("aaaa"))
     skeleton = skeleton_for_matching(X, m)
-    report = validate_collapsing_order(Collapsing(skeleton), m.pairs)
-    assert report.valid
-    assert all(c.dims_ok and c.incidence_ok and c.upward_closed for c in report.checks)
-    assert report.checks[-1].sigma == EMPTY  # the augmentation pair goes last
+    checks = validate_collapsing_order(Collapsing(skeleton), m.pairs)
+    assert all(c.ok for c in checks)
+    assert all(c.dims_ok and c.incidence_ok and c.upward_closed for c in checks)
+    assert checks[-1].sigma == EMPTY  # the augmentation pair goes last
 
 
 def test_validate_matches_up_set_search():
@@ -361,18 +362,19 @@ def test_validate_matches_up_set_search():
             j = repeats.randrange(i + 1, len(order) + 1)
             orders.append(order[:j] + (order[i],) + order[j:])
         for k, order in enumerate(orders):
-            report = validate_collapsing_order(Collapsing(skeleton), order)
+            checks = validate_collapsing_order(Collapsing(skeleton), order)
+            valid = all(c.ok for c in checks)
             searched = upward_closed_by_search(skeleton, order)
-            for check, up_ok in zip(report.checks, searched):
+            for check, up_ok in zip(checks, searched):
                 assert check.upward_closed == up_ok, (word, order)
                 if not check.ok:
                     break
-            assert report.valid == all(
+            assert valid == all(
                 c.dims_ok and c.incidence_ok and up_ok
-                for c, up_ok in zip(report.checks, searched)
+                for c, up_ok in zip(checks, searched)
             ), (word, order)
-            assert report.valid or k != 5, (word, order)  # m.pairs, a pair repeated
-            invalid += not report.valid
+            assert valid or k != 5, (word, order)  # m.pairs, a pair repeated
+            invalid += not valid
     assert invalid  # the shuffled orders exercise failing pairs too
 
 
@@ -397,10 +399,10 @@ def test_validate_counts_collapsed_cells_as_removed():
             for order in orders:
                 view = Collapsing(skeleton)
                 view.remove(*S)
-                report = validate_collapsing_order(view, order)
-                less_report = validate_collapsing_order(Collapsing(less), order)
-                assert report == less_report, (word, order)
-                invalid += not report.valid
+                checks = validate_collapsing_order(view, order)
+                less_checks = validate_collapsing_order(Collapsing(less), order)
+                assert checks == less_checks, (word, order)
+                invalid += not all(c.ok for c in checks)
             for pair in done:
                 view = Collapsing(skeleton)
                 view.remove(*S)
@@ -640,8 +642,8 @@ def test_is_alternating():
         assert is_alternating(w(text)), text
     for text in ("aa", "aab", "abc", "abba"):
         assert not is_alternating(w(text)), text
-    with pytest.raises(ValueError):
-        alternating_matching(w("aab"))
+    with pytest.raises(ValueError, match="does not alternate"):
+        alternating_collapse(w("aab"))
 
 
 def test_alt_partner_rules():
@@ -660,19 +662,16 @@ def test_alt_partner_is_an_involution():
             assert back == u and back_rule == rule and back_lower != is_lower
 
 
-def test_alternating_matching_critical_cells():
+def test_alternating_collapse_core_and_rule_tags():
+    # the rules leave the fundamental subword unmatched when 3 divides the
+    # length, nothing otherwise, and each JSON step carries its pair's rule
     for n in range(1, 13):
-        m = alternating_matching(alt_word(n))
+        run = alternating_collapse(alt_word(n))
         if n % 3 == 0:
-            assert m.critical == (fundamental_subword(alt_word(n)),)
+            assert run.core == fundamental_subword(alt_word(n))
         else:
-            assert m.critical == ()
-
-
-def test_rule_matching_json_tags_each_pair_with_its_rule():
-    for n in range(1, 13):
-        m = alternating_matching(alt_word(n))
-        assert [p["rule"] for p in m.to_json()["pairs"]] == list(m.rules), n
+            assert run.core is None
+        assert [s["rule"] for s in run.to_json()["steps"]] == list(run.rules), n
 
 
 def test_alternating_collapse_runs():
@@ -695,13 +694,24 @@ def test_alternating_collapse_drops_cells_once(monkeypatch):
         init(self, *args, **kwargs)
         made.append(self)
 
+    listed = []
+
+    def counting_subwords(word):
+        listed.append(word)
+        return distinct_subwords(word)
+
     monkeypatch.setattr(DeltaComplex, "__init__", counting_init)
+    monkeypatch.setattr(complexes, "distinct_subwords", counting_subwords)
+    monkeypatch.setattr(morse, "distinct_subwords", counting_subwords)
     alternating_collapse(alt_word(9))
     # the pairs are dropped from the one built complex, and the terminal
     # labels are read from its live cells: no subcomplex is made
     assert len(made) == 1
     assert made[0].name == format_word(alt_word(9))
     assert set(made[0].id_of_label) == distinct_subwords(alt_word(9))
+    # the rule pairs are read off the complex's labels: the word's own
+    # subwords are listed once, by build
+    assert listed.count(alt_word(9)) == 1
 
 
 def test_alternating_collapse_replays_as_elementary_collapses():

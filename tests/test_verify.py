@@ -4,7 +4,6 @@ import multiprocessing
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -260,10 +259,3 @@ def test_check_tables():
     for text in ("ababa", "abacb", "abcda"):
         assert text in report.found_5
 
-
-def test_write_reports(tmp_path):
-    report = sweep(2, 2)
-    json_path, csv_path = verify.write_reports(report, str(tmp_path / "out"))
-    data = json.loads(Path(json_path).read_text(encoding="utf-8"))
-    assert data["ok"] is True
-    assert Path(csv_path).read_text(encoding="utf-8") == report.to_csv()
