@@ -662,15 +662,20 @@ def test_alt_partner_is_an_involution():
             assert back == u and back_rule == rule and back_lower != is_lower
 
 
-def test_alternating_collapse_core_and_rule_tags():
+def test_alternating_matching_critical_cells():
     # the rules leave the fundamental subword unmatched when 3 divides the
-    # length, nothing otherwise, and each JSON step carries its pair's rule
+    # length, nothing otherwise
     for n in range(1, 13):
         run = alternating_collapse(alt_word(n))
         if n % 3 == 0:
             assert run.core == fundamental_subword(alt_word(n))
         else:
             assert run.core is None
+
+
+def test_rule_matching_json_tags_each_pair_with_its_rule():
+    for n in range(1, 13):
+        run = alternating_collapse(alt_word(n))
         assert [s["rule"] for s in run.to_json()["steps"]] == list(run.rules), n
 
 
