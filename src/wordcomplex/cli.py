@@ -327,10 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def word_command(name, func, help_text):
+    def word_command(name, func, help_text, machine_output=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("word", help="word over a-z")
-        p.add_argument("--json", action="store_true", help="machine output")
+        if machine_output:
+            p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--force", action="store_true", help="allow long words")
         p.set_defaults(func=func)
         return p
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     word_command("collapse", cmd_collapse, "alternating collapse or word reduction")
     p = word_command("subdivide", cmd_subdivide, "barycentric subdivision")
     p.add_argument("--times", type=_int_at_least(0), default=1, metavar="N")
-    p = word_command("export", cmd_export, "export the complex")
+    p = word_command("export", cmd_export, "export the complex", machine_output=False)
     p.add_argument("--format", choices=("json", "dot", "csv"), default="json")
 
     p = sub.add_parser(

@@ -23,7 +23,6 @@ library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -241,24 +240,18 @@ class Collapsing:
         )
 
 
-@dataclass(frozen=True)
-class FreePair:
-    sigma: int
-    tau: int
-
-
-def free_pairs(X: DeltaComplex) -> list[FreePair]:
-    """The free pairs of X, with nothing removed: only a maximal tau can
-    have a free face."""
+def free_pairs(X: DeltaComplex) -> list[tuple[int, int]]:
+    """The free pairs (sigma, tau) of X, with nothing removed, by sigma's
+    dimension and label: only a maximal tau can have a free face."""
     view = Collapsing(X)
     out = [
-        FreePair(sigma, tau)
+        (sigma, tau)
         for tau, n in view.up.items()
         if n == 0
         for sigma in X.faces[tau]
         if view.is_free(sigma, tau)
     ]
-    out.sort(key=lambda p: (X.dim_of[p.sigma], _label_key(X.labels[p.sigma])))
+    out.sort(key=lambda p: (X.dim_of[p[0]], _label_key(X.labels[p[0]])))
     return out
 
 

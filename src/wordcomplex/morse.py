@@ -517,6 +517,11 @@ def alternating_collapse(word: Word) -> CollapseRun:
     executed pair is checked as an elementary collapse at its turn; when 3
     divides the length the rule pairs never straddle the core subcomplex,
     so skipping the pairs inside it removes exactly the outside cells.
+    The core's cells are listed by distinct_subwords(core), not read off X
+    as the closure of the core cell: that list is the independent
+    description of the core subcomplex that the straddle check and the
+    terminal check compare the collapse against, and reading it off X
+    would compare X with itself.
     """
     name = format_word(word)
     if not is_alternating(word):

@@ -26,19 +26,29 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 @dataclass(frozen=True)
 class WordReport:
+    """One row of a sweep report; its fields are the row's keys in
+    report.json, in the order of sweep.schema.json."""
+
     word: str
     f_vector: tuple[int, ...]
-    euler_direct: int
-    euler_recursive: int
-    euler_f_vector: int
-    euler_theorem: int
-    is_spherical: bool
-    is_circular: bool
-    circular_factors: int
+    euler: int
+    spherical: bool
+    circular: bool
+    factors: int
     predicted: str
-    homology: tuple[tuple[int, tuple[int, ...]], ...]
+    homology: tuple[tuple[int, tuple[int, ...]], ...]  # HomologyProfile.groups
     checks: dict[str, str]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+
+# The leading columns of report.csv; one column per law of LAWS follows.
+CSV_FIELDS = ("word", "f_vector", "euler", "spherical", "circular", "factors", "predicted")
+
+
+def _csv_cell(value):
+    if isinstance(value, tuple):  # the f-vector
+        return " ".join(str(x) for x in value)
+    return int(value) if isinstance(value, bool) else value
 
 
 @dataclass(frozen=True)
@@ -60,18 +70,7 @@ class SweepReport:
             "ok": self.ok,
             "failures": [{"word": w, "check": c} for w, c in self.failures],
             "rows": [
-                {
-                    "word": r.word,
-                    "f_vector": list(r.f_vector),
-                    "euler": r.euler_direct,
-                    "spherical": r.is_spherical,
-                    "circular": r.is_circular,
-                    "factors": r.circular_factors,
-                    "predicted": r.predicted,
-                    "homology": homology.HomologyProfile(r.homology).to_json(),
-                    "checks": r.checks,
-                    "notes": list(r.notes),
-                }
+                {**vars(r), "homology": homology.HomologyProfile(r.homology).to_json()}
                 for r in self.rows
             ],
         }
@@ -79,21 +78,10 @@ class SweepReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["word", "f_vector", "euler", "spherical", "circular", "factors", "predicted"]
-            + list(CHECK_NAMES)
-        )
+        writer.writerow(CSV_FIELDS + CHECK_NAMES)
         for r in self.rows:
             writer.writerow(
-                [
-                    r.word,
-                    " ".join(str(x) for x in r.f_vector),
-                    r.euler_direct,
-                    int(r.is_spherical),
-                    int(r.is_circular),
-                    r.circular_factors,
-                    r.predicted,
-                ]
+                [_csv_cell(getattr(r, name)) for name in CSV_FIELDS]
                 + [r.checks[name] for name in CHECK_NAMES]
             )
         return out.getvalue()
@@ -123,6 +111,14 @@ class _Word:
     def valid(self) -> bool:
         self.X.validate()
         return True
+
+    def eulers_agree(self) -> bool:
+        if len(set(self.eulers)) == 1:
+            return True
+        self.notes.append(
+            "euler: direct {}, recursive {}, f-vector {}, theorem {}".format(*self.eulers)
+        )
+        return False
 
     def composes(self) -> bool:
         homology.check_composition(self.data)
@@ -175,7 +171,7 @@ class _Word:
 _COMPOSITION = "boundary_squares_to_zero"
 LAWS = (
     ("functoriality", _Word.valid),
-    ("euler_agreement", lambda w: len(set(w.eulers)) == 1),
+    ("euler_agreement", _Word.eulers_agree),
     (_COMPOSITION, _Word.composes),
     ("snf_certificates", _Word.certified),
     ("torsion_free", lambda w: not w.profile.has_torsion()),
@@ -202,19 +198,9 @@ def examine_word(word: Word) -> WordReport:
             w.notes.append(str(exc))
         w.checks[name] = SKIP if ok is None else PASS if ok else FAIL
     return WordReport(
-        word=format_word(word),
-        f_vector=w.X.f_vector(),
-        euler_direct=w.eulers[0],
-        euler_recursive=w.eulers[1],
-        euler_f_vector=w.eulers[2],
-        euler_theorem=w.eulers[3],
-        is_spherical=w.cls.is_spherical,
-        is_circular=w.cls.is_circular,
-        circular_factors=len(w.cls.circular_factors),
-        predicted=str(w.predicted),
-        homology=w.profile.groups,
-        checks=w.checks,
-        notes=tuple(w.notes),
+        format_word(word), w.X.f_vector(), w.eulers[0], w.cls.is_spherical,
+        w.cls.is_circular, len(w.cls.circular_factors), str(w.predicted),
+        w.profile.groups, w.checks, tuple(w.notes),
     )
 
 

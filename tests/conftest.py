@@ -156,8 +156,7 @@ def collapse_all(X):
         pairs = free_pairs(X)
         if not pairs:
             return X
-        p = pairs[-1]
-        X = elementary_collapse(X, p.sigma, p.tau)
+        X = elementary_collapse(X, *pairs[-1])
 
 
 def minors_gcd(M: list[list[int]], k: int) -> int:
@@ -185,14 +184,6 @@ def matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
                     if brow[j]:
                         acc[j] += a * brow[j]
     return out
-
-
-def columns_of(M: list[list[int]]) -> list[dict[int, int]]:
-    """The sparse columns {row: value} of a dense matrix."""
-    return [
-        {i: row[j] for i, row in enumerate(M) if row[j]}
-        for j in range(len(M[0]) if M else 0)
-    ]
 
 
 def dense_of(columns: list[dict[int, int]], m: int) -> list[list[int]]:

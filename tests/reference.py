@@ -443,8 +443,8 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _sparse_columns(M: Matrix) -> list[Column]:
-    """The nonzero entries of each column of the dense M."""
+def columns_of(M: Matrix) -> list[Column]:
+    """The sparse columns {row: value} of the dense M."""
     index = range(len(M[0]) if M else 0)
     columns: list[Column] = [{} for _ in index]
     for i, row in enumerate(M):
@@ -553,5 +553,5 @@ def dense_snf(M: Matrix) -> SmithNormalForm:
 
     diagonal = tuple(A[i][i] for i in range(s))
     return SmithNormalForm(
-        (m, n), diagonal, _sparse_columns(U_inv), _sparse_columns(V)
+        (m, n), diagonal, columns_of(U_inv), columns_of(V)
     )

@@ -245,6 +245,16 @@ def test_export_formats(capsys):
     assert code == 0 and "# boundary matrix 1" in out
 
 
+def test_export_takes_no_json_option(capsys):
+    # the format is chosen by --format alone; JSON is the default
+    code, out, err = run(capsys, "export", "aba", "--json")
+    assert code == 2 and out == "" and "--json" in err
+    code, out, _ = run(capsys, "export", "aba")
+    assert code == 0
+    assert out == run(capsys, "export", "aba", "--format", "json")[1]
+    validate(json.loads(out), "complex")
+
+
 def test_export_csv_pinned(capsys):
     # sha256 of each word and its CSV export, over the 63 canonical words
     # of length <= 5 over 3 letters, computed when the boundary matrices

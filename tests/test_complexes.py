@@ -204,7 +204,7 @@ def test_isomorphism_respects_all_faces():
 def test_free_pairs_examples():
     X = build(w("ab"))
     pairs = free_pairs(X)
-    labels = {(X.labels[p.sigma], X.labels[p.tau]) for p in pairs}
+    labels = {(X.labels[sigma], X.labels[tau]) for sigma, tau in pairs}
     assert labels == {(w("a"), w("ab")), (w("b"), w("ab"))}
 
     assert free_pairs(build(w("aaa"))) == []
@@ -304,7 +304,7 @@ def test_collapsing_view_agrees_with_a_recount():
 def test_collapse_preserves_structure():
     X = build(w("abab"))
     pairs = free_pairs(X)
-    Y = elementary_collapse(X, pairs[0].sigma, pairs[0].tau)
+    Y = elementary_collapse(X, *pairs[0])
     Y.validate()
     assert Y.n_cells == X.n_cells - 2
 

@@ -18,8 +18,14 @@ from wordcomplex.homology import (
 from wordcomplex.verify import examine_word
 from wordcomplex.words import enumerate_canonical_words, parse_word, predict_homotopy
 
-from conftest import HARD_WORDS, assert_unimodular, columns_of, dense_of, matmul, minors_gcd
-from reference import certified_by_products, dense_snf, join, profile_reduced_euler
+from conftest import HARD_WORDS, assert_unimodular, dense_of, matmul, minors_gcd
+from reference import (
+    certified_by_products,
+    columns_of,
+    dense_snf,
+    join,
+    profile_reduced_euler,
+)
 
 
 def w(text):

@@ -1,8 +1,9 @@
 """The library's imports and names: every module-level import of a library
-module is used by that module, every module-level function and class is
-named by the library outside its own body, no library module names the
-coface table, only words.py renames letters, and importing the command line
-loads no pool module."""
+module is used by that module, every module-level function and class, and
+every method and property of such a class, is named by the library or the
+benchmark harness outside its own body, no library module names the coface
+table, only words.py renames letters, and importing the command line loads
+no pool module."""
 
 import ast
 import subprocess
@@ -16,6 +17,7 @@ from conftest import env_importing_the_package
 SOURCES = sorted(
     p for p in Path(wordcomplex.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def _annotations(tree: ast.AST):
@@ -63,56 +65,90 @@ def test_library_modules_use_every_import():
     assert not any(unused.values()), unused
 
 
-def unnamed_definitions(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes, as module.name, that no
-    module of sources names outside the definition's own body.
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names a node loads and the attribute names it reads."""
+    return used_names(node) | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def unnamed_definitions(
+    sources: dict[str, str], readers: dict[str, str] | None = None
+) -> list[str]:
+    """The module-level functions and classes, as module.name, and the
+    non-dunder methods and properties of those classes, as
+    module.Class.name, that no module of sources or readers names outside
+    the definition's own body. The readers' own definitions are not checked.
 
     A name counts when a statement loads it or reads an attribute of that
     name, so the check cannot tell a definition from anything else called
     the same: a function named like a method of another type passes (join,
     as str.join reads), and so does one that shares its name with a local
-    variable or a parameter.
+    variable or a parameter. A method counts as named by the other
+    statements of its class, a class by none of its own.
     """
-    statements = {
-        (module, i): (
-            node,
-            used_names(node)
-            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)},
-        )
-        for module, source in sources.items()
-        for i, node in enumerate(ast.parse(source).body)
-    }
+    # (module, statement, member) -> the names it reads; a statement that is
+    # no class is its member 0, and a class's header (bases, decorators) -1
+    units = {}
+    for module, source in {**(readers or {}), **sources}.items():
+        for i, node in enumerate(ast.parse(source).body):
+            if isinstance(node, ast.ClassDef):
+                for j, part in enumerate(node.body):
+                    units[module, i, j] = _reads(part)
+                header = node.bases + node.keywords + node.decorator_list
+                units[module, i, -1] = set().union(*map(_reads, header))
+            else:
+                units[module, i, 0] = _reads(node)
+
+    def named(name, own) -> bool:
+        return any(name in names for key, names in units.items() if not own(key))
+
     unnamed = []
-    for (module, i), (node, _) in statements.items():
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        if not any(
-            node.name in names
-            for key, (_, names) in statements.items()
-            if key != (module, i)
-        ):
-            unnamed.append(f"{module}.{node.name}")
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            if not isinstance(node, _DEFINITIONS):
+                continue
+            if not named(node.name, lambda key: key[:2] == (module, i)):
+                unnamed.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for j, part in enumerate(node.body):
+                if not isinstance(part, _DEFINITIONS) or part.name.startswith("__"):
+                    continue
+                if not named(part.name, lambda key: key == (module, i, j)):
+                    unnamed.append(f"{module}.{node.name}.{part.name}")
     return unnamed
 
 
 def test_the_checker_sees_an_unnamed_function():
     sources = {
         "a": "def used():\n    return 1\n\ndef spare():\n    return spare()\n",
-        "b": "from a import used, Kept\n\nx = used(), Kept()\n",
+        "b": "from a import used, Kept\n\nx = used(), Kept().size\n",
         "c": "def method_named():\n    pass\n\ny = ''.method_named\n",
-        "d": "class Kept:\n    pass\n\nclass Spare:\n    def new(self):\n"
-        "        return Spare()\n",
+        "d": "class Kept:\n    @property\n    def size(self):\n"
+        "        return self.helper()\n\n    def helper(self):\n        return 1\n\n"
+        "    def idle(self):\n        return self.idle()\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "class Spare:\n    def new(self):\n        return Spare()\n",
     }
-    assert unnamed_definitions(sources) == ["a.spare", "d.Spare"]
+    assert unnamed_definitions(sources) == [
+        "a.spare", "d.Kept.idle", "d.Spare", "d.Spare.new"
+    ]
+    # a reader names a definition without being checked itself
+    readers = {"r": "def unchecked():\n    return Kept().idle\n"}
+    assert unnamed_definitions(sources, readers) == ["a.spare", "d.Spare", "d.Spare.new"]
 
 
 def test_library_names_every_function():
-    # a function or class only the tests use is a second route; it lives in
-    # tests/reference.py, not in the library
+    # a function, class or method only the tests use is a second route; it
+    # lives in tests/reference.py, not in the library. The benchmark's
+    # harness reads the library too (its tracer reads DeltaComplex.n_cells).
     sources = {p.stem: p.read_text() for p in SOURCES}
-    assert unnamed_definitions(sources) == []
+    readers = {f"perfbench.{p.stem}": p.read_text() for p in PERFBENCH}
+    assert unnamed_definitions(sources, readers) == []
 
 
 def test_no_library_module_names_the_coface_table():

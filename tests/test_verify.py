@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import subprocess
 import sys
 import textwrap
+from importlib import resources
 
 import pytest
 
-from wordcomplex import complexes, homology, morse, verify
+from wordcomplex import complexes, homology, morse, verify, words
 from wordcomplex.verify import check_tables, examine_word, sweep
 from wordcomplex.words import format_word, parse_word
 
@@ -111,6 +113,28 @@ def test_a_law_that_raises_fails_with_its_message(monkeypatch):
     assert "is_pseudomanifold refused" in row.notes
     others = set(verify.CHECK_NAMES) - {"pseudomanifold_law"}
     assert {row.checks[name] for name in others} == {"pass"}
+
+
+def test_a_failing_euler_check_notes_its_four_values(monkeypatch):
+    word = parse_word("abab")
+    exact = examine_word(word)
+    recursive = words.euler_recursive
+    monkeypatch.setattr(words, "euler_recursive", lambda u: recursive(u) + 1)
+    row = examine_word(word)
+    assert row.checks["euler_agreement"] == "fail"
+    assert row.notes == ("euler: direct 0, recursive 1, f-vector 0, theorem 0",)
+    others = set(verify.CHECK_NAMES) - {"euler_agreement"}
+    assert {name: row.checks[name] for name in others} == {
+        name: exact.checks[name] for name in others
+    }
+    assert row.euler == exact.euler
+
+
+def test_a_row_has_the_report_keys_in_schema_order():
+    path = resources.files("wordcomplex") / "schemas" / "sweep.schema.json"
+    keys = json.loads(path.read_text())["properties"]["rows"]["items"]["required"]
+    fields = tuple(f.name for f in dataclasses.fields(verify.WordReport))
+    assert fields == tuple(keys)
 
 
 def test_sweep_builds_each_word_once(monkeypatch, tmp_path):
