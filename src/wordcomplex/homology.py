@@ -26,7 +26,10 @@ A chain complex is reduced from the top dimension down, with the clearing
 d_{n+1}, one per unit pivot, are boundaries, so d_n maps them to zero, and
 each has its leading entry at its pivot row. Swapping them in for the unit
 vectors of those n-cells is a unimodular change of basis, so d_n is reduced
-on its other columns alone and the cleared columns join its kernel.
+on its other columns alone and the cleared columns join its kernel. That is
+one elimination of d_n in its own column indices, which leaves the cleared
+columns out and puts those U_inv columns in their place in V, right after
+the rank; no sub-matrix is copied and no column renumbered.
 
 The inverse of the row transform and the column transform are kept as
 sparse columns, giving one certificate identity, M V = U_inv D. Every
@@ -184,23 +187,39 @@ class SmithNormalForm:
                 raise ArithmeticError("certificate M V = U_inv D fails")
 
 
-def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
+def smith_normal_form(
+    M: list[Column], m: int, upper: SmithNormalForm | None = None
+) -> SmithNormalForm:
     """Diagonalize the m-row matrix with sparse columns M over the integers
     by unimodular row and column operations, all on the sparse rows.
 
     Unit pivots are eliminated first, each from the row with the fewest
     entries. The block they leave, if any, is finished by pivots of least
     absolute value, divided into their column and row with remainder until
-    one stands alone and divides every entry left."""
+    one stands alone and divides every entry left.
+
+    Given upper, the reduction of the map above M in chain_data, the columns
+    at upper's unit pivot rows are cleared (see the module docstring): the
+    elimination never reads them, and V holds the pivot columns, then a copy
+    of upper's U_inv column for each unit pivot of upper, then the other
+    columns in order. That V is unimodular, the copies being triangular on
+    their pivot rows with +-1 there. Only unit pivots are cleared: a
+    residual pivot's U_inv column is a boundary only when its factor is 1,
+    and the residual phase's row operations, run both ways between its
+    rows, need not leave it triangular with +-1 on its pivot row. They touch
+    no unit pivot's U_inv column, so the proofs that rest on those columns
+    hold unchanged."""
     n = len(M)
-    index = range(n)
+    cleared = set(upper.unit_rows) if upper else set()
     rows: list[Column] = [{} for _ in range(m)]
-    where = [set(col) for col in M]  # column -> rows using it
+    where = [set() for _ in M]  # column -> rows using it, none for a cleared one
     for j, col in enumerate(M):
-        for i, x in col.items():
-            rows[i][j] = x
+        if j not in cleared:
+            where[j].update(col)
+            for i, x in col.items():
+                rows[i][j] = x
     U_inv = [{i: 1} for i in range(m)]
-    V = [{j: 1} for j in index]
+    V = [{j: 1} for j in range(n)]
 
     def add_row(k: int, q: int, p: int) -> None:
         # r_k += q r_p, keeping where up to date; the caller updates U_inv
@@ -299,12 +318,13 @@ def smith_normal_form(M: list[Column], m: int) -> SmithNormalForm:
     lead_rows = [p for p, _ in pivots]
     lead_cols = [c for _, c in pivots]
     row_order = lead_rows + sorted(set(range(m)).difference(lead_rows))
-    col_order = lead_cols + sorted(set(index).difference(lead_cols))
+    rest = sorted(set(range(n)).difference(lead_cols, cleared))
+    kernel = [dict(u) for u in upper.U_inv[: len(upper.unit_rows)]] if upper else []
     return SmithNormalForm(
         (m, n),
         tuple(diagonal),
         [U_inv[i] for i in row_order],
-        [V[j] for j in col_order],
+        [V[j] for j in lead_cols] + kernel + [V[j] for j in rest],
         unit_rows,
     )
 
@@ -345,45 +365,17 @@ class HomologyProfile:
         ]
 
 
-def _cleared(M: list[Column], m: int, upper: SmithNormalForm) -> SmithNormalForm:
-    """The reduction of d_n (columns M, m rows) with the cells that were the
-    unit pivot rows of d_{n+1} (reduced as upper) cleared.
-
-    In the basis of those cells' boundary columns U_inv[t] of upper and the
-    unit vectors of the other cells, d_n is zero on the first part and M on
-    the second, so V = [cleared columns | unit vectors] blockdiag(I, V_sub)
-    with V_sub the reduction of the kept columns alone. It is unimodular:
-    the cleared columns are triangular on their pivot rows with +-1 there.
-    Only unit pivots are cleared: a residual pivot's U_inv column is a
-    boundary only when its factor is 1, and the residual phase's row
-    operations, run both ways between its rows, need not leave it triangular
-    with +-1 on its pivot row. They touch no unit pivot's U_inv column, so
-    the proofs that rest on those columns hold unchanged."""
-    units = len(upper.unit_rows)
-    cleared = set(upper.unit_rows)
-    kept = [j for j in range(len(M)) if j not in cleared]
-    sub = smith_normal_form([M[j] for j in kept], m)
-    V = [{kept[k]: x for k, x in v.items()} for v in sub.V]
-    r = sub.rank
-    kernel = [dict(u) for u in upper.U_inv[:units]]
-    return SmithNormalForm(
-        (m, len(M)), sub.diagonal, sub.U_inv, V[:r] + kernel + V[r:], sub.unit_rows
-    )
-
-
 def chain_data(X: DeltaComplex) -> list[tuple[list[Column], SmithNormalForm]]:
     """Boundary maps (augmented at dimension zero) with their reductions,
-    computed from the top dimension down, each map with the unit pivot rows
-    of the one above it cleared. The reductions are certificates only when
-    consecutive maps compose to zero."""
+    computed from the top dimension down, each map by one elimination with
+    the unit pivot rows of the one above it cleared. The reductions are
+    certificates only when consecutive maps compose to zero."""
     data = []
     upper = None
     for n in range(X.dim, -1, -1):
         M = boundary_matrix(X, n)
-        m = boundary_rows(X, n)
-        snf = smith_normal_form(M, m) if upper is None else _cleared(M, m, upper)
-        data.append((M, snf))
-        upper = snf
+        upper = smith_normal_form(M, boundary_rows(X, n), upper)
+        data.append((M, upper))
     return data[::-1]
 
 

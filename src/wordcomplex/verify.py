@@ -144,10 +144,13 @@ class _Word:
             return None
         matching = morse.full_matching(self.word)
         rep = morse.matching_report(self.X, matching)
-        want_critical = 0 if self.exponents[-1] % 2 else 1
-        ok = all(rep.values()) and len(matching.critical) == want_critical
+        # the critical cells must sit in the degrees of the Betti numbers,
+        # which the homology computes with no matching
+        betti = [n for n, (b, _) in enumerate(self.profile.groups) for _ in range(b)]
+        dims = sorted(len(c) - 1 for c in matching.critical)
+        ok = all(rep.values()) and dims == betti
         if not ok:
-            self.notes.append(f"matching {rep}, {len(matching.critical)} critical")
+            self.notes.append(f"matching {rep}, critical in dimensions {dims}, Betti in {betti}")
         return ok
 
     def reduces_to_core(self) -> bool:

@@ -13,7 +13,7 @@ heights) are second routes of the tests, in tests/reference.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 Word = tuple[int, ...]
@@ -53,10 +53,10 @@ class ReducedForm:
     """Run-length encoding of a word; adjacent runs carry distinct letters."""
 
     runs: tuple[tuple[int, int], ...]  # (letter, exponent), every exponent >= 1
-    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(e for _, e in self.runs))
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        return tuple(e for _, e in self.runs)
 
     def __len__(self) -> int:
         return len(self.runs)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import chain
 
@@ -197,6 +198,39 @@ def test_sparse_engine_agrees_with_the_dense_routine():
             units = len(upper.unit_rows)
             assert snf.V[snf.rank : snf.rank + units] == upper.U_inv[:units], word
     assert checked == 1558
+
+
+def test_chain_data_pinned():
+    # every reduction of the canonical words of length <= 6 over 6 letters,
+    # hashed in order: a change of pivot order, transform or clearing moves it
+    digest = hashlib.sha256()
+    maps = 0
+    for word in all_words(6):
+        for _, snf in chain_data(build(word)):
+            digest.update(repr((snf.diagonal, snf.U_inv, snf.V, snf.unit_rows)).encode())
+            maps += 1
+    assert maps == 1558
+    assert digest.hexdigest() == (
+        "286596488b6ab57b44d6fcae2307e06672079c97499b85c3929c9764dbf6fe87"
+    )
+
+
+def test_clearing_reads_no_cleared_column():
+    # each map is reduced in its own column indices with the cleared columns
+    # left out: garbage there changes nothing, and V holds copies of the
+    # upper map's boundary columns, so that tampering with one leaves the
+    # other as it was
+    for word in all_words(5):
+        X = build(word)
+        data = chain_data(X)
+        for n, ((M, snf), (_, upper)) in enumerate(zip(data, data[1:])):
+            garbage = list(M)
+            for p in upper.unit_rows:
+                garbage[p] = {0: 7}
+            assert smith_normal_form(garbage, boundary_rows(X, n), upper) == snf, (word, n)
+            for t in range(len(upper.unit_rows)):
+                assert snf.V[snf.rank + t] == upper.U_inv[t], (word, n)
+                assert snf.V[snf.rank + t] is not upper.U_inv[t], (word, n)
 
 
 def test_certificate_rejects_a_tampered_cleared_column():

@@ -130,6 +130,19 @@ def test_a_failing_euler_check_notes_its_four_values(monkeypatch):
     assert row.euler == exact.euler
 
 
+def test_the_matching_law_reads_the_homology(monkeypatch):
+    # aabb is S^3 with one critical cell, aabb itself: with every Betti
+    # number read as zero, that cell sits in no Betti degree
+    def acyclic(data):
+        return homology.HomologyProfile(tuple((0, ()) for _ in data))
+
+    assert examine_word(parse_word("aabb")).checks["matching_law"] == "pass"
+    monkeypatch.setattr(homology, "profile_of", acyclic)
+    row = examine_word(parse_word("aabb"))
+    assert row.checks["matching_law"] == "fail"
+    assert any("critical in dimensions [3], Betti in []" in note for note in row.notes)
+
+
 def test_a_row_has_the_report_keys_in_schema_order():
     path = resources.files("wordcomplex") / "schemas" / "sweep.schema.json"
     keys = json.loads(path.read_text())["properties"]["rows"]["items"]["required"]
