@@ -1,8 +1,9 @@
 """Delta-complex gluing data: word complexes, collapses, subdivision, exports.
 
-A complex stores opaque integer cell ids graded by dimension plus a
-codimension-one face table: faces[c][i] is the cell obtained by deleting
-position i (0-based) of c. All higher boundary maps arise by composing
+A complex is its codimension-one face table over opaque integer cell ids:
+faces[c][i] is the cell obtained by deleting position i (0-based) of c.
+The grading is read off the table, since a d-cell has d + 1 faces for
+d >= 1 and a vertex has none. All higher boundary maps arise by composing
 single deletions, which is unambiguous once the simplicial identities
 d_i d_j = d_{j-1} d_i (i < j) hold; validate() checks them directly.
 The face table is the only incidence data a complex keeps, and nothing
@@ -28,7 +29,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .words import Word, distinct_subwords, format_word
+from .words import Word, format_word, subwords_in_order
 
 
 def _subword_text(label) -> Optional[str]:
@@ -41,26 +42,25 @@ def _subword_text(label) -> Optional[str]:
     return None
 
 
-def _label_key(label):
-    """Deterministic sort key over nested labels (ints, tuples, None)."""
-    if label is None:
-        return (0,)
-    if isinstance(label, int):
-        return (1, label)
-    return (2, tuple(_label_key(x) for x in label))
-
-
 class DeltaComplex:
-    def __init__(self, cells_by_dim, faces, labels, name=""):
-        self.cells_by_dim: list[list[int]] = [list(cs) for cs in cells_by_dim]
-        while self.cells_by_dim and not self.cells_by_dim[-1]:
-            self.cells_by_dim.pop()
+    """A face table and one label per cell. Each cell's dimension is read off
+    its face count, and cells_by_dim groups the cells by dimension in the
+    table's order; validate() catches a cell with one face."""
+
+    def __init__(self, faces, labels, name=""):
         self.faces: dict[int, tuple[int, ...]] = dict(faces)
         self.labels: dict[int, object] = dict(labels)
+        if self.labels.keys() != self.faces.keys():
+            raise ValueError("the labels must name exactly the face table's cells")
         self.name = name
         self.dim_of: dict[int, int] = {
-            c: d for d, cs in enumerate(self.cells_by_dim) for c in cs
+            c: max(len(fs) - 1, 0) for c, fs in self.faces.items()
         }
+        self.cells_by_dim: list[list[int]] = [
+            [] for _ in range(max(self.dim_of.values(), default=-1) + 1)
+        ]
+        for c, d in self.dim_of.items():
+            self.cells_by_dim[d].append(c)
         self.id_of_label: dict[object, int] = {self.labels[c]: c for c in self.labels}
         if len(self.id_of_label) != len(self.labels):
             raise ValueError("cell labels must be unique")
@@ -141,7 +141,8 @@ def build(word: Word) -> DeltaComplex:
 
     The face at deletion position i of a cell is the subword with that
     letter removed; equal subwords index a single cell, which is exactly
-    the gluing. Cells are numbered by dimension, then in sorted order.
+    the gluing. Cells are numbered in the order subwords_in_order yields
+    them: by dimension, then lexicographically.
 
     Faces are grown from the prefix's faces: for u = v.a, deleting
     position i < |u| - 1 gives face_i(v).a, and deleting the last letter
@@ -152,24 +153,11 @@ def build(word: Word) -> DeltaComplex:
     """
     if not word:
         raise ValueError("cannot build a complex from the empty word")
-    by_dim: dict[int, list[Word]] = {}
-    for u in distinct_subwords(word):
-        by_dim.setdefault(len(u) - 1, []).append(u)
-    cells_by_dim: list[list[int]] = []
-    labels: dict[int, object] = {}
-    ids: dict[Word, int] = {}
-    next_id = 0
-    for d in range(len(word)):
-        row = []
-        for u in sorted(by_dim.get(d, [])):
-            ids[u] = next_id
-            labels[next_id] = u
-            row.append(next_id)
-            next_id += 1
-        cells_by_dim.append(row)
+    cells = subwords_in_order(word)
+    ids = {u: c for c, u in enumerate(cells)}
     faces: dict[int, tuple[int, ...]] = {}
     appended = {(a,): {} for a in set(word)}  # a -> {id of x: id of x.a}
-    for u, c in ids.items():
+    for c, u in enumerate(cells):
         if len(u) == 1:
             faces[c] = ()
             continue
@@ -184,7 +172,7 @@ def build(word: Word) -> DeltaComplex:
     name = _subword_text(word)
     if name is None:
         name = repr(word)
-    return DeltaComplex(cells_by_dim, faces, labels, name=name)
+    return DeltaComplex(faces, dict(enumerate(cells)), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +239,7 @@ def free_pairs(X: DeltaComplex) -> list[tuple[int, int]]:
         for sigma in X.faces[tau]
         if view.is_free(sigma, tau)
     ]
-    out.sort(key=lambda p: (X.dim_of[p[0]], _label_key(X.labels[p[0]])))
+    out.sort(key=lambda p: (X.dim_of[p[0]], X.labels[p[0]]))
     return out
 
 
@@ -309,15 +297,13 @@ def barycentric_subdivide(X: DeltaComplex) -> DeltaComplex:
     for c in X.dim_of:
         for flag in _flags(X.dim_of[c]):
             keys.append((c, flag))
-    keys.sort(key=lambda k: (len(k[1]) - 1, _label_key((X.labels[k[0]], k[1]))))
+    keys.sort(key=lambda k: (len(k[1]) - 1, X.labels[k[0]], k[1]))
     ids = {k: i for i, k in enumerate(keys)}
-    cells_by_dim: list[list[int]] = [[] for _ in range(X.dim + 1)]
     labels = {}
     faces = {}
     for c, flag in keys:
         i = ids[(c, flag)]
         n = len(flag) - 1
-        cells_by_dim[n].append(i)
         labels[i] = (X.labels[c], flag)
         if n == 0:
             faces[i] = ()
@@ -335,7 +321,7 @@ def barycentric_subdivide(X: DeltaComplex) -> DeltaComplex:
                 )
                 fs.append(ids[(carrier, renamed)])
         faces[i] = tuple(fs)
-    return DeltaComplex(cells_by_dim, faces, labels, name=f"sd({X.name})")
+    return DeltaComplex(faces, labels, name=f"sd({X.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ A word is a tuple of small integer letters. Canonical words use letters
 construction, homology, matchings) only depends on the induced partition
 of positions, so canonical renaming is lossless. Distinct subwords are
 listed, counted by length and signed-summed on one next-occurrence
-automaton of the word. The paper's other presentation routes (every
-presentation of a subword, the left-, right- and p-shifted ones, arrows and
-heights) are second routes of the tests, in tests/reference.py.
+automaton of the word; the listing walks it one length at a time, so the
+subwords come out in the (length, lex) order that numbers the cells. The
+paper's other presentation routes (every presentation of a subword, the
+left-, right- and p-shifted ones, arrows and heights) are second routes of
+the tests, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -94,23 +96,31 @@ def _next_occurrence(word: Word) -> list[dict[int, int]]:
     return nxt
 
 
-def distinct_subwords(word: Word) -> frozenset[Word]:
-    """All distinct nonempty subwords; these index the cells of the complex.
+def subwords_in_order(word: Word) -> list[Word]:
+    """All distinct nonempty subwords, by length and then lexicographically;
+    build numbers the cells of the complex in this order.
 
-    A depth-first walk of the subsequence automaton meets each subword
-    once, so the work is proportional to the subwords, not to the 2^n
+    The subsequence automaton is walked one length at a time, each state's
+    letters in sorted order. A subword is one path from state 0, and a level
+    in lex order extends to the next level in lex order, so nothing is
+    sorted, and the work is proportional to the subwords, not to the 2^n
     position subsets.
     """
-    nxt = _next_occurrence(word)
+    moves = [  # per state: (one-letter word, next state), by letter
+        [((a,), j + 1) for a, j in sorted(row.items())]
+        for row in _next_occurrence(word)
+    ]
     found: list[Word] = []
-    stack: list[tuple[Word, int]] = [((), 0)]
-    while stack:
-        prefix, i = stack.pop()
-        for a, j in nxt[i].items():
-            u = prefix + (a,)
-            found.append(u)
-            stack.append((u, j + 1))
-    return frozenset(found)
+    level: list[tuple[Word, int]] = [((), 0)]
+    while level:
+        level = [(u + a, j) for u, i in level for a, j in moves[i]]
+        found += [u for u, _ in level]
+    return found
+
+
+def distinct_subwords(word: Word) -> frozenset[Word]:
+    """All distinct nonempty subwords; these index the cells of the complex."""
+    return frozenset(subwords_in_order(word))
 
 
 def subword_counts(word: Word) -> tuple[int, ...]:

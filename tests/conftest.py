@@ -270,7 +270,6 @@ def reversed_complex(X) -> DeltaComplex:
     position i of a d-cell becomes d - i, so labels and face tuples
     reverse."""
     return DeltaComplex(
-        X.cells_by_dim,
         {c: fs[::-1] for c, fs in X.faces.items()},
         {c: u[::-1] for c, u in X.labels.items()},
     )

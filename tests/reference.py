@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterable
 
-from wordcomplex.complexes import DeltaComplex, _label_key
+from wordcomplex.complexes import DeltaComplex
 from wordcomplex.homology import Column, HomologyProfile, SmithNormalForm
 from wordcomplex.morse import _mu_formula
 from wordcomplex.words import ExpPresentation, ReducedForm, Word
@@ -219,11 +219,7 @@ def without(X: DeltaComplex, removed: Iterable[int]) -> DeltaComplex:
                 raise ValueError(
                     f"removing cells would orphan face {f} of cell {c}"
                 )
-    cells_by_dim = [
-        [c for c in cs if c not in removed] for cs in X.cells_by_dim
-    ]
     return DeltaComplex(
-        cells_by_dim,
         {c: X.faces[c] for c in keep},
         {c: X.labels[c] for c in keep},
         name=X.name,
@@ -253,7 +249,16 @@ def elementary_collapse(X: DeltaComplex, sigma: int, tau: int) -> DeltaComplex:
 
 
 def empty_complex() -> DeltaComplex:
-    return DeltaComplex([], {}, {}, name="empty")
+    return DeltaComplex({}, {}, name="empty")
+
+
+def _label_key(label):
+    """Deterministic sort key over join labels: ints, tuples and None."""
+    if label is None:
+        return (0,)
+    if isinstance(label, int):
+        return (1, label)
+    return (2, tuple(_label_key(x) for x in label))
 
 
 def join(X: DeltaComplex, Y: DeltaComplex) -> DeltaComplex:
@@ -295,13 +300,11 @@ def join(X: DeltaComplex, Y: DeltaComplex) -> DeltaComplex:
 
     keys.sort(key=lambda k: (pair_dim(k), _label_key(pair_label(k))))
     ids = {k: i for i, k in enumerate(keys)}
-    cells_by_dim: list[list[int]] = [[] for _ in range(pair_dim(keys[-1]) + 1)]
     labels = {}
     faces = {}
     for k in keys:
         c = ids[k]
         d = pair_dim(k)
-        cells_by_dim[d].append(c)
         labels[c] = pair_label(k)
         if d == 0:
             faces[c] = ()
@@ -319,7 +322,7 @@ def join(X: DeltaComplex, Y: DeltaComplex) -> DeltaComplex:
                 fs.append(ids[(x, ny)])
         faces[c] = tuple(fs)
     name = f"({X.name})*({Y.name})"
-    return DeltaComplex(cells_by_dim, faces, labels, name=name)
+    return DeltaComplex(faces, labels, name=name)
 
 
 def _refine_colors(X: DeltaComplex, Y: DeltaComplex) -> tuple[dict, dict]:

@@ -210,6 +210,12 @@ def test_free_pairs_examples():
     assert free_pairs(build(w("aaa"))) == []
 
 
+def test_free_pairs_sort_string_labels():
+    # one edge e from v to w: both its vertices are free faces of it
+    X = DeltaComplex({0: (), 1: (), 2: (1, 0)}, {0: "v", 1: "w", 2: "e"})
+    assert free_pairs(X) == [(0, 2), (1, 2)]
+
+
 def test_free_pairs_absent_when_all_exponents_at_least_two():
     for word in all_words(7):
         if all(e >= 2 for e in reduced_form(word).exponents):
@@ -359,6 +365,21 @@ def test_double_subdivision_of_dunce_hat():
     assert reduced_homology(S2).is_trivial()
 
 
+def test_grading_is_read_off_the_face_table():
+    X = DeltaComplex({0: (), 1: (), 2: (0, 1), 3: (2, 2, 2)}, dict(enumerate("vweT")))
+    assert X.cells_by_dim == [[0, 1], [2], [3]]
+    assert X.dim_of == {0: 0, 1: 0, 2: 1, 3: 2}
+    assert DeltaComplex({}, {}).cells_by_dim == []
+    # a cell with one face reads as a vertex, and validate() refuses it
+    one_face = DeltaComplex({0: (), 1: (0,)}, {0: "v", 1: "e"})
+    with pytest.raises(ValueError, match="cell 1 of dim 0 has 1 faces"):
+        one_face.validate()
+    # the labels must name exactly the cells of the face table
+    for labels in ({0: "v"}, {0: "v", 1: "w", 2: "e"}, {0: "v", 2: "w"}):
+        with pytest.raises(ValueError, match="labels must name exactly"):
+            DeltaComplex({0: (), 1: ()}, labels)
+
+
 # -- recognition --------------------------------------------------------------------
 
 
@@ -379,7 +400,6 @@ def test_is_pseudomanifold_examples():
     # two disjoint two-edge circles: pure, and every vertex is hit by two
     # deletion slots, but the edges are not strongly connected
     two_circles = DeltaComplex(
-        [[0, 1, 2, 3], [4, 5, 6, 7]],
         {0: (), 1: (), 2: (), 3: (), 4: (1, 0), 5: (0, 1), 6: (3, 2), 7: (2, 3)},
         {c: f"c{c}" for c in range(8)},
     )
@@ -387,7 +407,6 @@ def test_is_pseudomanifold_examples():
     assert not is_pseudomanifold(two_circles)
     # one such circle and a stray vertex: not pure
     stray = DeltaComplex(
-        [[0, 1, 2], [3, 4]],
         {0: (), 1: (), 2: (), 3: (1, 0), 4: (0, 1)},
         {c: f"c{c}" for c in range(5)},
     )

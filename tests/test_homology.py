@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcomplex import homology
-from wordcomplex.complexes import DeltaComplex, build
+from wordcomplex.complexes import DeltaComplex, barycentric_subdivide, build
 from wordcomplex.homology import (
     boundary_matrix,
     boundary_rows,
@@ -321,7 +321,7 @@ def rp2():
     v, w_, a, b, c, U, L = range(7)
     faces = {v: (), w_: (), a: (v, w_), b: (v, w_), c: (w_, w_), U: (a, b, c), L: (b, a, c)}
     labels = dict(zip(range(7), "vwabcUL"))
-    return DeltaComplex([[v, w_], [a, b, c], [U, L]], faces, labels, name="RP2")
+    return DeltaComplex(faces, labels, name="RP2")
 
 
 def test_torsion_through_the_whole_chain():
@@ -340,6 +340,15 @@ def test_torsion_through_the_whole_chain():
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
         assert snf.diagonal == dense_snf(dense_of(M, boundary_rows(X, n))).diagonal
+
+
+def test_rp2_grading_and_subdivision():
+    assert rp2().cells_by_dim == [[0, 1], [2, 3, 4], [5, 6]]
+    # its labels are strings, which the subdivision sorts as they are
+    S = barycentric_subdivide(rp2())
+    S.validate()
+    assert S.f_vector() == (7, 18, 12)
+    assert reduced_homology(S).groups == ((0, ()), (0, (2,)), (0, ()))
 
 
 def test_snf_of_a_mixed_matrix_folds_the_residual():

@@ -28,6 +28,7 @@ from wordcomplex.words import (
     fundamental_subword,
     parse_word,
     reduced_form,
+    subwords_in_order,
 )
 
 from conftest import (
@@ -533,7 +534,6 @@ def with_stray_vertex(X):
     """X with one more vertex, labelled by a letter the word does not have."""
     stray = max(X.dim_of) + 1
     return DeltaComplex(
-        [X.cells(0) + [stray]] + X.cells_by_dim[1:],
         {**X.faces, stray: ()},
         {**X.labels, stray: w("c")},
     )
@@ -701,13 +701,16 @@ def test_alternating_collapse_drops_cells_once(monkeypatch):
 
     listed = []
 
-    def counting_subwords(word):
-        listed.append(word)
-        return distinct_subwords(word)
+    def counting(list_subwords):
+        def counted(word):
+            listed.append(word)
+            return list_subwords(word)
+
+        return counted
 
     monkeypatch.setattr(DeltaComplex, "__init__", counting_init)
-    monkeypatch.setattr(complexes, "distinct_subwords", counting_subwords)
-    monkeypatch.setattr(morse, "distinct_subwords", counting_subwords)
+    monkeypatch.setattr(complexes, "subwords_in_order", counting(subwords_in_order))
+    monkeypatch.setattr(morse, "distinct_subwords", counting(distinct_subwords))
     alternating_collapse(alt_word(9))
     # the pairs are dropped from the one built complex, and the terminal
     # labels are read from its live cells: no subcomplex is made

@@ -21,6 +21,7 @@ from wordcomplex.words import (
     predict_homotopy,
     reduced_form,
     subword_counts,
+    subwords_in_order,
     xi,
 )
 
@@ -140,6 +141,10 @@ def test_distinct_subwords_examples():
 def test_distinct_subwords_matches_position_oracle():
     for word in chain(all_words(6), all_words(8, 4)):
         assert distinct_subwords(word) == subwords_by_positions(word)
+        # the automaton's walk by length lists them in cell order, unsorted
+        assert subwords_in_order(word) == sorted(
+            subwords_by_positions(word), key=lambda u: (len(u), u)
+        )
 
 
 def counts_by_length(subwords, n):
