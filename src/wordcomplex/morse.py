@@ -302,28 +302,41 @@ def validate_collapsing_order(
 # Word reduction
 
 
-def _first_odd(alpha: tuple[int, ...]) -> Optional[int]:
-    """0-based index of the first odd exponent, None when all are even."""
-    return next((i for i, e in enumerate(alpha) if e % 2), None)
+@dataclass(frozen=True)
+class ReductionStep:
+    kind: str  # "delete", "flip", or "contract"
+    before: Word
+    after: Word
+    matching: Optional[Matching]
 
 
-def reduce_step(word: Word) -> tuple[Word, Matching]:
-    """Delete one letter from the run p after the first odd exponent.
+def reduce_step(word: Word) -> Optional[ReductionStep]:
+    """The next step of the word's reduction, None once the word is
+    terminal: its own fundamental subword (every exponent even) or a single
+    letter.
 
-    The removed simplices are exactly the subwords lost by the deletion,
-    named by the p-shifted tuples that use run p in full: heads read
-    leftward from p, tails rightward, every head with every tail. The flip
-    capped at the odd run matches them in pairs. Raises when no run before
-    the last has an odd exponent.
+    When only the last of two or more runs is odd the step flips the word,
+    with no matching. A single odd run of three or more letters is stuck in
+    both directions; its matching (full_matching) is perfect, so the step
+    contracts it to its first letter. Otherwise the step deletes one letter
+    from the run p after the first odd exponent. The removed simplices are
+    exactly the subwords lost by the deletion, named by the p-shifted tuples
+    that use run p in full: heads read leftward from p, tails rightward,
+    every head with every tail. The flip capped at the odd run matches them
+    in pairs.
     """
     rf = reduced_form(word)
     alpha = rf.exponents
-    odd = _first_odd(alpha)
-    if odd is None or odd == len(rf) - 1:
-        raise ValueError("word is fully reduced")
+    odd = next((i for i, e in enumerate(alpha) if e % 2), None)
+    if odd is None or len(word) == 1:
+        return None
+    if odd == len(rf) - 1:
+        if odd:
+            return ReductionStep("flip", word, word[::-1], None)
+        return ReductionStep("contract", word, word[:1], full_matching(word))
     k = odd + 1  # 1-based index of the first odd run; 0-based index of p
     letter, e = rf.runs[k]
-    new_word = rf.expand_presentation(alpha[:k] + (e - 1,) + alpha[k + 1 :])
+    after = rf.expand_presentation(alpha[:k] + (e - 1,) + alpha[k + 1 :])
 
     tails = _outward(rf.runs[k + 1 :], letter)
     named = {}
@@ -332,15 +345,7 @@ def reduce_step(word: Word) -> tuple[Word, Matching]:
         left = head_letters[::-1] + (letter,) * e
         for tail, tail_letters in tails:
             named[left + tail_letters] = front + tail
-    return new_word, _flip_matching(word, rf, k, named, ())
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    kind: str  # "delete", "flip", or "contract"
-    before: Word
-    after: Word
-    matching: Optional[Matching]
+    return ReductionStep("delete", word, after, _flip_matching(word, rf, k, named, ()))
 
 
 @dataclass(frozen=True)
@@ -368,9 +373,9 @@ class ReductionTrace:
 
 
 def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
-    """Iterate letter deletions on a word's built complex, the word read from
-    its one top cell, reversing when only the last run is odd; a single odd
-    run contracts through its perfect matching.
+    """Take reduce_step's steps from the word of a built complex, read from
+    its one top cell, until the word is terminal. reduce_step decides every
+    step, delete, flip or contract; this routine only checks them on X.
 
     The terminal word is the fundamental subword of a spherical input
     (every terminal exponent even) or a single letter otherwise.
@@ -403,39 +408,24 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     view = Collapsing(X)
     backwards = False  # whether the current word reads the labels of X reversed
     steps: list[ReductionStep] = []
-    while True:
-        alpha = reduced_form(current).exponents
-        odd = _first_odd(alpha)
-        if odd is None:
-            break  # the word is its own fundamental subword
-        if odd < len(alpha) - 1:
-            after, matching = reduce_step(current)
-            step = ReductionStep("delete", current, after, matching)
-        elif len(alpha) > 1:
-            flipped = current[::-1]
-            steps.append(ReductionStep("flip", current, flipped, None))
-            current, backwards = flipped, not backwards
-            continue
-        elif alpha[0] == 1:
-            break  # single letter
+    while (step := reduce_step(current)) is not None:
+        if step.kind == "flip":
+            backwards = not backwards
         else:
-            # a single odd run is stuck in both directions; its matching is
-            # perfect, so everything above the base vertex collapses away
-            matching = full_matching(current)
-            after = current[:1]
-            step = ReductionStep("contract", current, after, matching)
-        pairs = tuple(p for p in matching.pairs if p[0] != EMPTY)
-        if backwards:
-            pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
-        bad = [c for c in validate_collapsing_order(view, pairs) if not c.ok]
-        if bad:
-            raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
-        live = {X.labels[c] for c in X.dim_of.keys() - view.removed}
-        survivors = distinct_subwords(after)
-        if live != ({u[::-1] for u in survivors} if backwards else survivors):
-            raise RuntimeError(f"removed cells of {current} do not leave {after}")
+            pairs = tuple(p for p in step.matching.pairs if p[0] != EMPTY)
+            if backwards:
+                pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
+            bad = [c for c in validate_collapsing_order(view, pairs) if not c.ok]
+            if bad:
+                raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
+            live = {X.labels[c] for c in X.dim_of.keys() - view.removed}
+            survivors = distinct_subwords(step.after)
+            if live != ({u[::-1] for u in survivors} if backwards else survivors):
+                raise RuntimeError(
+                    f"removed cells of {current} do not leave {step.after}"
+                )
         steps.append(step)
-        current = after
+        current = step.after
     return ReductionTrace(word, tuple(steps), current)
 
 

@@ -351,16 +351,15 @@ def check_tables() -> TablesReport:
     carries the difference so the discrepancy is visible, not silently
     absorbed.
     """
-    found_le_4 = tuple(
-        w
-        for w in words.enumerate_canonical_words(4, 4, dedup_reversal=True)
-        if words.is_decomposable(w) is None
-    )
-    found_5 = tuple(
+    # a canonical word of length <= 4 uses at most 4 letters, so the one
+    # enumeration lists the shorter words as a (4, 4) enumeration would
+    found = [
         w
         for w in words.enumerate_canonical_words(5, 5, dedup_reversal=True)
-        if len(w) == 5 and words.is_decomposable(w) is None
-    )
+        if words.is_decomposable(w) is None
+    ]
+    found_le_4 = tuple(w for w in found if len(w) <= 4)
+    found_5 = tuple(w for w in found if len(w) == 5)
     # every enumerated word is already its own reversal representative
     table_5 = _reversal_reps(TABLE_LENGTH_5)
     unlisted = tuple(format_word(w) for w in sorted(set(found_5) - table_5))

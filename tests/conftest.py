@@ -311,32 +311,19 @@ def reduce_to_core_by_subcomplexes(X) -> morse.ReductionTrace:
     checked on the complex in hand with nothing counted as collapsed."""
     word = current = X.labels[X.cells(X.dim)[0]]
     steps = []
-    while True:
-        alpha = reduced_form(current).exponents
-        odd = morse._first_odd(alpha)
-        if odd is None:
-            break
-        if odd < len(alpha) - 1:
-            after, matching = morse.reduce_step(current)
-            step = morse.ReductionStep("delete", current, after, matching)
-        elif len(alpha) > 1:
-            flipped = current[::-1]
-            steps.append(morse.ReductionStep("flip", current, flipped, None))
-            current, X = flipped, reversed_complex(X)
-            continue
-        elif alpha[0] == 1:
-            break
+    while (step := morse.reduce_step(current)) is not None:
+        if step.kind == "flip":
+            X = reversed_complex(X)
         else:
-            matching = morse.full_matching(current)
-            after = current[:1]
-            step = morse.ReductionStep("contract", current, after, matching)
-        pairs = tuple(p for p in matching.pairs if p[0] != morse.EMPTY)
-        checks = morse.validate_collapsing_order(Collapsing(X), pairs)
-        if not all(c.ok for c in checks):
-            raise RuntimeError(f"collapsing order invalid for {current}")
-        X = without(X, (X.id_of_label[u] for pair in pairs for u in pair))
-        if set(X.id_of_label) != distinct_subwords(after):
-            raise RuntimeError(f"removed cells of {current} do not leave {after}")
+            pairs = tuple(p for p in step.matching.pairs if p[0] != morse.EMPTY)
+            checks = morse.validate_collapsing_order(Collapsing(X), pairs)
+            if not all(c.ok for c in checks):
+                raise RuntimeError(f"collapsing order invalid for {current}")
+            X = without(X, (X.id_of_label[u] for pair in pairs for u in pair))
+            if set(X.id_of_label) != distinct_subwords(step.after):
+                raise RuntimeError(
+                    f"removed cells of {current} do not leave {step.after}"
+                )
         steps.append(step)
-        current = after
+        current = step.after
     return morse.ReductionTrace(word, tuple(steps), current)

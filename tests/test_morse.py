@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,6 +12,7 @@ from wordcomplex.complexes import Collapsing, DeltaComplex, build
 from wordcomplex.homology import reduced_homology
 from wordcomplex.morse import (
     EMPTY,
+    ReductionStep,
     alt_partner,
     alternating_collapse,
     full_matching,
@@ -416,24 +418,49 @@ def test_validate_counts_collapsed_cells_as_removed():
 
 
 def test_reduce_step_examples():
-    new, matching = reduce_step(w("abaa"))
-    assert new == w("aaa") and matching.t == 1
+    step = reduce_step(w("abaa"))
+    assert step.kind == "delete" and step.before == w("abaa")
+    assert step.after == w("aaa") and step.matching.t == 1
 
-    new, matching = reduce_step(w("aaba"))
-    assert new == w("aab") and matching.t == 2
+    step = reduce_step(w("aaba"))
+    assert step.kind == "delete" and step.before == w("aaba")
+    assert step.after == w("aab") and step.matching.t == 2
 
-    with pytest.raises(ValueError):
-        reduce_step(w("aabb"))
-    with pytest.raises(ValueError):
-        reduce_step(w("aaa"))
+    assert reduce_step(w("aab")) == ReductionStep("flip", w("aab"), w("baa"), None)
+    assert reduce_step(w("aaa")) == ReductionStep(
+        "contract", w("aaa"), w("a"), full_matching(w("aaa"))
+    )
+    assert reduce_step(w("aabb")) is None
+    assert reduce_step(w("a")) is None
+
+
+def test_reduce_step_is_none_exactly_at_the_terminal_words():
+    # the terminal words are read off the classification, not the exponents
+    for word in words_and_reversals(7, 4):
+        step = reduce_step(word)
+        terminal = len(word) == 1 or (
+            classify(word).is_spherical and fundamental_subword(word) == word
+        )
+        assert (step is None) == terminal, word
+        if terminal:
+            continue
+        assert step.before == word, word
+        if step.kind == "flip":
+            assert step.after == word[::-1] and step.matching is None, word
+        elif step.kind == "contract":
+            assert step.after == word[:1] and len(set(word)) == 1, word
+        else:
+            assert step.kind == "delete", word
+            deletions = {word[:i] + word[i + 1 :] for i in range(len(word))}
+            assert step.after in deletions, word
 
 
 def test_reduce_step_cell_accounting():
     for word in words_and_reversals(7, 7):
-        try:
-            new, matching = reduce_step(word)
-        except ValueError:
+        step = reduce_step(word)
+        if step is None or step.kind != "delete":
             continue
+        new, matching = step.after, step.matching
         removed = len(distinct_subwords(word)) - len(distinct_subwords(new))
         assert removed == 2 * len(matching.pairs), word
         assert matched_cells(matching) == lost_subwords(word, new), word
@@ -443,10 +470,10 @@ def test_reduce_step_tuples_are_p_shifted(named_tuples):
     # the tuples read outward from run p are the p-shifted presentations
     # of the lost subwords, each using run p in full
     for word in words_and_reversals(7, 4):
-        try:
-            new, matching = reduce_step(word)
-        except ValueError:
+        step = reduce_step(word)
+        if step is None or step.kind != "delete":
             continue
+        new, matching = step.after, step.matching
         named = named_tuples[-1]
         rf = reduced_form(word)
         p = matching.t + 1
@@ -461,12 +488,9 @@ def test_reduce_step_tuples_are_p_shifted(named_tuples):
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 3), min_size=9, max_size=12).map(tuple))
 def test_reduction_on_longer_words(word):
-    try:
-        new, matching = reduce_step(word)
-    except ValueError:
-        pass
-    else:
-        assert matched_cells(matching) == lost_subwords(word, new)
+    step = reduce_step(word)
+    if step is not None and step.kind == "delete":
+        assert matched_cells(step.matching) == lost_subwords(word, step.after)
     trace = reduce_to_core(build(word))
     if classify(word).is_spherical:
         assert trace.terminal == fundamental_subword(word)
@@ -562,9 +586,9 @@ def test_reduce_to_core_checks_the_survivors_of_every_step(monkeypatch):
     step = morse.reduce_step
 
     def misnamed(word):
-        after, matching = step(word)
-        assert after == w("aab")
-        return w("aba"), matching
+        found = step(word)
+        assert found.after == w("aab")
+        return dataclasses.replace(found, after=w("aba"))
 
     monkeypatch.setattr(morse, "reduce_step", misnamed)
     with pytest.raises(RuntimeError, match="do not leave"):

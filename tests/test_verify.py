@@ -253,8 +253,8 @@ def test_pooled_workers_run_the_callers_code(monkeypatch):
 
 
 def test_failing_reduction_step_is_reported(monkeypatch):
-    # a delete step that raises ValueError is a failure, not a sign that the
-    # word is fully reduced: retrying it would flip the word forever
+    # a delete step that raises is a failure that the reduction passes on:
+    # it is never retried or read as the end of the reduction
     step = morse.reduce_step
     calls = []
 
