@@ -19,6 +19,10 @@ from . import complexes, homology, morse, verify, words
 MAX_PLAIN_LENGTH = 14  # cell counts grow exponentially; longer needs --force
 MAX_PLAIN_CELLS = 10**4  # predicted cells of the word's complex; more needs --force
 MAX_SUBDIVISION_CELLS = 10**5  # predicted cells of sd^k; more needs --force
+# bound on the cells of all of a sweep's complexes; more needs --force.
+# sweep(14, 2) is bounded by 1.8e8 cells, sweep(16, 2) by 2.9e9.
+MAX_SWEEP_CELLS = 10**9
+MAX_LETTERS = 26  # format_word spells the letters a-z
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -276,7 +280,31 @@ def _write_reports(
     return json_path, csv_path
 
 
+def _check_sweep_bounds(max_len: int, alphabet: int, force: bool) -> None:
+    """Refuse bounds that allow a word of more than MAX_LETTERS letters, and
+    without force those whose complexes could have more than
+    MAX_SWEEP_CELLS cells in all: the canonical words of each length n,
+    counted by arithmetic, times the 2^n - 1 cells a word of length n has
+    at most. The count stops once past the bound, so no bound is slow to
+    refuse."""
+    if min(max_len, alphabet) > MAX_LETTERS:
+        raise UsageError(
+            f"words of more than {MAX_LETTERS} letters cannot be written over a-z"
+        )
+    if force:
+        return
+    cells = 0
+    for n in range(1, max_len + 1):
+        cells += words.canonical_word_count(n, alphabet) * (2**n - 1)
+        if cells > MAX_SWEEP_CELLS:
+            raise UsageError(
+                f"the complexes of a sweep to length {max_len} over {alphabet} "
+                f"letters could have more than {MAX_SWEEP_CELLS} cells; it needs --force"
+            )
+
+
 def cmd_sweep(args) -> int:
+    _check_sweep_bounds(args.max_len, args.alphabet, args.force)
     directory = os.environ.get("WORDCOMPLEX_REPORT_DIR")
     if directory:
         os.makedirs(directory, exist_ok=True)  # an unusable one fails before the sweep
@@ -357,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", type=_int_at_least(1), default=4)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dedup-reversal", action="store_true")
+    p.add_argument("--force", action="store_true", help="allow sweeps of more "
+                   f"than {MAX_SWEEP_CELLS} predicted cells")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tables", help="check the indecomposable-word tables")

@@ -288,6 +288,19 @@ def enumerate_canonical_words(
             yield w
 
 
+def canonical_word_count(length: int, max_alphabet: int) -> int:
+    """The number of canonical words of the given length over at most
+    max_alphabet letters, as enumerate_canonical_words lists them without
+    dedup_reversal, by arithmetic: a canonical word is a partition of its
+    positions into at most max_alphabet letters, so the count is the sum of
+    the Stirling numbers of the second kind S(length, j), j <= max_alphabet."""
+    k = min(length, max_alphabet)
+    s = [1] + [0] * k  # S(n, j) for j = 0..k, from n = 0
+    for _ in range(length):
+        s = [0] + [j * s[j] + s[j - 1] for j in range(1, k + 1)]
+    return sum(s)
+
+
 def reversal_representative(word: Word) -> Word:
     """Canonical representative of the word up to renaming and reversal."""
     w = canonicalize(word)

@@ -12,6 +12,7 @@ from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 import wordcomplex
@@ -27,6 +28,15 @@ settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None
 )
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def cold_reduction_plans():
+    """Every test starts with morse's memo of reduction plans empty, so a
+    plan kept from an earlier test never hides the reduce_step a test
+    patches."""
+    morse._plan.cache_clear()
+
 
 # the words of the benchmark's homology workload, 431-943 cells each
 HARD_WORDS = (

@@ -71,6 +71,36 @@ def test_sweep_alphabet_zero_exit_2(capsys):
     assert code == 2 and "--alphabet" in err
 
 
+def test_sweep_refuses_large_bounds_before_sweeping(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("swept before the size guard")
+
+    monkeypatch.setattr("wordcomplex.verify.sweep", never)
+    # 2^40 - 1 words, bounded by sum_n 2^(n-1) (2^n - 1) cells
+    code, out, err = run(capsys, "sweep", "--max-len", "40", "--alphabet", "2")
+    assert code == 2 and out == "" and "--force" in err
+    code, _, err = run(capsys, "sweep", "--max-len", "16", "--alphabet", "2")
+    assert code == 2 and "more than 1000000000 cells" in err
+    # a 27th letter cannot be written, whatever the size
+    for alphabet in ("27", "30"):
+        code, _, err = run(capsys, "sweep", "--max-len", "27", "--alphabet", alphabet, "--force")
+        assert code == 2 and "26 letters" in err
+
+
+def test_sweep_admits_bounds_within_the_guard(capsys, monkeypatch):
+    # the guard's largest admitted sweeps run only as a one-letter stand-in
+    swept, one_letter = [], verify.sweep(1, 1)
+    monkeypatch.setattr(
+        "wordcomplex.verify.sweep", lambda *args: swept.append(args) or one_letter
+    )
+    for max_len, alphabet, *force in (
+        ("14", "2"), ("10", "10"), ("3", "100"), ("40", "2", "--force")
+    ):
+        code, _, _ = run(capsys, "sweep", "--max-len", max_len, "--alphabet", alphabet, *force)
+        assert code == 0, (max_len, alphabet)
+    assert swept == [(14, 2, False), (10, 10, False), (3, 100, False), (40, 2, False)]
+
+
 def test_subdivide_negative_times_exit_2(capsys):
     code, _, err = run(capsys, "subdivide", "a", "--times", "-3")
     assert code == 2 and "--times" in err

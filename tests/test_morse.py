@@ -595,6 +595,49 @@ def test_reduce_to_core_checks_the_survivors_of_every_step(monkeypatch):
         reduce_to_core(build(w("aaba")))
 
 
+def test_reduce_to_core_refuses_survivors_the_word_lacks(monkeypatch):
+    # aabc keeps every subword aab keeps, and adds subwords with c, which
+    # aaba lacks: the pairs' cells are still aaba's less aabc's, so only
+    # the inclusion half of the survivor check sees it
+    step = morse.reduce_step
+
+    def padded(word):
+        found = step(word)
+        return dataclasses.replace(found, after=found.after + w("c"))
+
+    monkeypatch.setattr(morse, "reduce_step", padded)
+    with pytest.raises(RuntimeError, match="do not leave"):
+        reduce_to_core(build(w("aaba")))
+
+
+def test_the_memo_of_reduction_plans_is_bounded():
+    assert morse._plan.cache_info().maxsize is not None
+
+
+def test_the_order_check_runs_at_every_step_with_the_memo_warm_or_cold(monkeypatch):
+    # the memo keeps what depends on the word alone; every delete or
+    # contract step still checks its order on the complex in hand
+    calls = []
+    check = morse.validate_collapsing_order
+
+    def counting(view, pairs):
+        calls.append(view.X)
+        return check(view, pairs)
+
+    monkeypatch.setattr(morse, "validate_collapsing_order", counting)
+    for word in enumerate_canonical_words(6, 3):
+        X = build(word)
+        morse._plan.cache_clear()
+        for _ in ("cold", "warm"):
+            calls.clear()
+            trace = reduce_to_core(X)
+            assert calls == [X] * sum(s.kind != "flip" for s in trace.steps), word
+        # one plan per step and one for the terminal word, each made once
+        plans = len(trace.steps) + 1
+        info = morse._plan.cache_info()
+        assert (info.misses, info.hits) == (plans, plans), word
+
+
 def test_flip_relabelling_is_the_reversed_complex():
     def face_labels(X):
         return {

@@ -252,6 +252,34 @@ def test_pooled_workers_run_the_callers_code(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_sweep_starts_with_no_reduction_plan_kept(monkeypatch):
+    # a plan kept from an earlier reduction must not hide a reduce_step
+    # patched since: the sweep, and the workers it forks, start with none
+    step = morse.reduce_step
+    abcab = parse_word("abcab")
+
+    def refusing_step(word):
+        if word == abcab:
+            raise RuntimeError("reduce_step refused abcab")
+        return step(word)
+
+    def warm_then_refuse():
+        monkeypatch.setattr(morse, "reduce_step", step)
+        for word in words.enumerate_canonical_words(5, 3):
+            morse.reduce_to_core(complexes.build(word))
+        hits = morse._plan.cache_info().hits
+        morse._plan(abcab, False)
+        assert morse._plan.cache_info().hits == hits + 1  # abcab's plan is kept
+        monkeypatch.setattr(morse, "reduce_step", refusing_step)
+
+    warm_then_refuse()
+    assert sweep(5, 3).failures == (("abcab", "reduction_law"),)
+    monkeypatch.setattr(verify, "POOL_MIN_WORDS", 1)
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    warm_then_refuse()
+    assert sweep(5, 3).failures == (("abcab", "reduction_law"),)
+
+
 def test_failing_reduction_step_is_reported(monkeypatch):
     # a delete step that raises is a failure that the reduction passes on:
     # it is never retried or read as the end of the reduction

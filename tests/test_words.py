@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wordcomplex import words as W
 from wordcomplex.words import (
+    canonical_word_count,
     canonicalize,
     classify,
     distinct_subwords,
@@ -332,6 +333,16 @@ def test_enumerate_counts():
     # restricted growth strings: Bell-number counts when the alphabet is free
     assert sum(1 for _ in enumerate_canonical_words(4, 4)) == 1 + 2 + 5 + 15
     assert sum(1 for u in enumerate_canonical_words(4, 2) if len(u) == 4) == 8
+
+
+def test_canonical_word_count_is_the_enumeration_count():
+    for max_alphabet in range(1, 9):
+        lengths = Counter(map(len, enumerate_canonical_words(7, max_alphabet)))
+        counts = {n: canonical_word_count(n, max_alphabet) for n in range(1, 8)}
+        assert counts == lengths, max_alphabet
+    # Bell numbers on a free alphabet, 2^(n-1) words over two letters
+    assert canonical_word_count(10, 10) == 115_975
+    assert canonical_word_count(40, 2) == 2**39
 
 
 def test_enumerate_is_canonical_and_deduplicates():
