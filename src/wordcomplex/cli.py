@@ -18,7 +18,7 @@ from . import complexes, homology, morse, verify, words
 
 MAX_PLAIN_LENGTH = 14  # cell counts grow exponentially; longer needs --force
 MAX_PLAIN_CELLS = 10**4  # predicted cells of the word's complex; more needs --force
-MAX_SUBDIVISION_CELLS = 10**5  # predicted cells of sd^k; more needs --force
+MAX_SUBDIVISION_CELLS = 10**5  # predicted cells of sd^0 to sd^k; more needs --force
 # bound on the cells of all of a sweep's complexes; more needs --force.
 # sweep(14, 2) is bounded by 1.8e8 cells, sweep(16, 2) by 2.9e9.
 MAX_SWEEP_CELLS = 10**9
@@ -222,13 +222,19 @@ def cmd_subdivide(args) -> int:
     word = _parse_word_arg(args.word, args.force)
     X = complexes.build(word)
     if not args.force:
+        # every stage is built, and a point's stages never grow: bound the
+        # stages together, which also ends this loop within the bound's turns
         f = X.f_vector()
+        total = sum(f)
         for k in range(1, args.times + 1):
             f = complexes.subdivision_f_vector(f)
-            if sum(f) > MAX_SUBDIVISION_CELLS:
+            total += sum(f)
+            if total > MAX_SUBDIVISION_CELLS:
+                cells = f"sd^{k} would have {sum(f)} cells"
+                if sum(f) <= MAX_SUBDIVISION_CELLS:
+                    cells = f"sd^0 to sd^{k} would have {total} cells together"
                 raise UsageError(
-                    f"sd^{k} would have {sum(f)} cells, more than "
-                    f"{MAX_SUBDIVISION_CELLS}; it needs --force"
+                    f"{cells}, more than {MAX_SUBDIVISION_CELLS}; it needs --force"
                 )
     stages = [X.f_vector()]
     for _ in range(args.times):

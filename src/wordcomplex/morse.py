@@ -47,7 +47,6 @@ from typing import Optional
 from .complexes import Collapsing, DeltaComplex, build, incidence
 from .words import (
     ExpPresentation,
-    ReducedForm,
     Word,
     distinct_subwords,
     format_word,
@@ -128,52 +127,49 @@ def _outward(
 
 
 def _flip_matching(
-    word: Word, rf: ReducedForm, t: int, named: dict, critical: tuple[Word, ...]
+    word: Word, alpha: tuple[int, ...], t: int, named: dict, critical: tuple
 ) -> Matching:
-    """Pair the named cells (cell -> tuple) by the flip at their height,
-    capped at run t. A lower tuple must flip to the tuple of a named cell
-    and back, and the pairs and the critical cells must cover every named
-    cell. Pairs come in removal order.
+    """Pair the named cells (tuple -> cell) by the flip at their height,
+    capped at run t. A lower tuple must flip to a named tuple and back, and
+    the pairs and the critical tuples must cover every named tuple. Pairs
+    come in removal order.
 
     The height of a tuple is the first run k <= t it does not use in full,
-    else t; each tuple is checked against 0 <= beta <= alpha as its height
-    is read, and the first t - 1 exponents once for all of them."""
-    alpha = rf.exponents
+    else t. Each named tuple, critical ones included, is checked once
+    against 0 <= beta <= alpha, and the first t - 1 exponents once for all
+    of them; a flip image is itself named, so it is checked in its turn."""
     if not 1 <= t <= len(alpha):
         raise ValueError("index t must lie between 1 and the number of runs")
     if any(e % 2 for e in alpha[: t - 1]):
         raise ValueError("exponents before index t must all be even")
 
     def height_of(beta: ExpPresentation) -> int:
-        if len(beta) != len(alpha) or min(beta) < 0 or any(map(gt, beta, alpha)):
-            raise ValueError("beta must satisfy 0 <= beta <= alpha coordinatewise")
         for k in range(t - 1):
             if beta[k] < alpha[k]:
                 return k + 1
         return t
 
-    # Every tuple v of named sits at the key expand(v), so the tuples are
-    # distinct, and named.get(expand(v)) == v holds exactly when v is one of
-    # them: the flip image's cell is read from the inverse map, unexpanded.
-    cell_of = {beta: u for u, beta in named.items()}
-    pairs = []
-    for u, beta in named.items():
-        if u in critical:
+    lower = []  # (-len(sigma), tuple, sigma, tau): removal order; tuples are unique
+    for beta, u in named.items():
+        if len(beta) != len(alpha) or min(beta) < 0 or any(map(gt, beta, alpha)):
+            raise ValueError("beta must satisfy 0 <= beta <= alpha coordinatewise")
+        if beta in critical:
             continue
         h = height_of(beta)
         if beta[h - 1] % 2:
             continue  # upper side of its pair
         tau_beta = _mu_formula(alpha, h, beta)
-        tau = cell_of.get(tau_beta)
+        tau = named.get(tau_beta)
         if tau is None:
             raise RuntimeError(f"flip of {beta} names no matched cell of {word}")
         if _mu_formula(alpha, height_of(tau_beta), tau_beta) != beta:
             raise RuntimeError(f"matching is not involutive at {beta}")
-        pairs.append((u, tau))
-    if 2 * len(pairs) + len(critical) != len(named):
+        lower.append((-len(u), beta, u, tau))
+    if 2 * len(lower) + len(critical) != len(named):
         raise RuntimeError(f"matching does not partition the cells of {word}")
-    pairs.sort(key=lambda p: (-len(p[0]), named[p[0]]))
-    return Matching(word, t, tuple(pairs), critical)
+    lower.sort()
+    pairs = tuple((u, tau) for _, _, u, tau in lower)
+    return Matching(word, t, pairs, tuple(named[c] for c in critical))
 
 
 def full_matching(word: Word) -> Matching:
@@ -190,11 +186,11 @@ def full_matching(word: Word) -> Matching:
     if any(e % 2 for e in alpha[:-1]):
         raise ValueError("all run exponents before the last must be even")
     named = {
-        letters[::-1]: reading[::-1]
+        reading[::-1]: letters[::-1]
         for reading, letters in _outward(rf.runs[::-1], None)
     }
-    critical = (word,) if alpha[-1] % 2 == 0 else ()
-    return _flip_matching(word, rf, len(rf), named, critical)
+    critical = (alpha,) if alpha[-1] % 2 == 0 else ()
+    return _flip_matching(word, alpha, len(rf), named, critical)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +346,8 @@ def reduce_step(word: Word) -> Optional[ReductionStep]:
         front = head[::-1] + (e,)
         left = head_letters[::-1] + (letter,) * e
         for tail, tail_letters in tails:
-            named[left + tail_letters] = front + tail
-    return ReductionStep("delete", word, after, _flip_matching(word, rf, k, named, ()))
+            named[front + tail] = left + tail_letters
+    return ReductionStep("delete", word, after, _flip_matching(word, alpha, k, named, ()))
 
 
 @dataclass(frozen=True)
@@ -381,15 +377,18 @@ class ReductionTrace:
 @lru_cache(maxsize=256)
 def _plan(
     word: Word, backwards: bool
-) -> tuple[Optional[ReductionStep], tuple[tuple[Word, Word], ...], bool]:
+) -> tuple[Optional[ReductionStep], tuple[tuple[Word, Word], ...]]:
     """What reduce_to_core needs of the word alone, kept for the distinct
     words most recently reduced: the step (through the module's
-    reduce_step, so a patched one is read on every miss), its pairs without
-    the empty cell, read backwards when asked, and the survivor verdict.
-    The verdict holds when the pairs' cells are exactly the subwords the
-    word loses in the step, and the shorter word's subwords are the word's;
-    reversal is a bijection, so the reading does not change it. A step
-    that raises is not kept, and verify.sweep empties the memo.
+    reduce_step, so a patched one is read on every miss) and its pairs
+    without the empty cell, read backwards when asked.
+
+    The plan is verified before it is returned: the pairs' cells must be
+    exactly the subwords the word loses in the step, and the shorter word's
+    subwords must be the word's, or it raises. Reversal is a bijection, so
+    the reading does not change that verdict. A plan that raises is not
+    kept. Read with the module's own reduce_step, a plan depends on its
+    arguments alone, so what the memo holds never changes a result.
 
     With 256 plans the largest sweep worker peaked at 22.5 MB on
     sweep(9, 4) and 30.5 MB on sweep(14, 2), against 21.9 and 23.1 MB with
@@ -397,13 +396,14 @@ def _plan(
     sweep(7, 4) and took the sweep(9, 4) worker to 30 MB."""
     step = reduce_step(word)
     if step is None or step.kind == "flip":
-        return step, (), True
+        return step, ()
     pairs = tuple(p for p in step.matching.pairs if p[0] != EMPTY)
     before, after = distinct_subwords(word), distinct_subwords(step.after)
-    survives = after <= before and {u for p in pairs for u in p} == before - after
+    if not after <= before or {u for p in pairs for u in p} != before - after:
+        raise RuntimeError(f"removed cells of {word} do not leave {step.after}")
     if backwards:
         pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
-    return step, pairs, survives
+    return step, pairs
 
 
 def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
@@ -435,17 +435,15 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
 
     The start check, the view, and the order check of every pair of every
     delete or contract step run on X at every call. What depends on the
-    word alone, the step, its pairs and whether the pairs' cells are
-    exactly the subwords the step loses (the survivor verdict), comes from
-    a bounded memo of plans (_plan), once per distinct word while it is
-    kept. The verdict decides the survivor check, by induction over the
-    steps: before the first step the live labels are the word's subwords,
-    by the start check, and a flip only changes how they are read. The
-    order check raises before it removes anything if a pair names a
-    removed cell or a cell outside X, and otherwise removes exactly the
-    pairs' cells. So after each step the live labels are the current
-    word's subwords less the pairs' cells, which are the shorter word's
-    subwords exactly when the verdict holds.
+    word alone, the step and its pairs, comes from a bounded memo of plans
+    (_plan), once per distinct word while it is kept. That the live labels
+    are the shorter word's subwords follows by induction over the steps:
+    before the first step they are the word's subwords, by the start check,
+    and a flip only changes how they are read. Plans are verified, and the
+    order check removes exactly their cells (it raises before it removes
+    anything if a pair names a removed cell or a cell outside X), so after
+    each step the live labels are the current word's subwords less the
+    pairs' cells, which are the shorter word's subwords.
     """
     top = X.cells(X.dim)
     if len(top) != 1:
@@ -457,7 +455,7 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     backwards = False  # whether the current word reads the labels of X reversed
     steps: list[ReductionStep] = []
     while True:
-        step, pairs, survives = _plan(current, backwards)
+        step, pairs = _plan(current, backwards)
         if step is None:
             break
         if step.kind == "flip":
@@ -466,10 +464,6 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
             bad = [c for c in validate_collapsing_order(view, pairs) if not c.ok]
             if bad:
                 raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")
-            if not survives:
-                raise RuntimeError(
-                    f"removed cells of {current} do not leave {step.after}"
-                )
         steps.append(step)
         current = step.after
     return ReductionTrace(word, tuple(steps), current)

@@ -247,13 +247,7 @@ def sweep(max_len: int, max_alphabet: int, dedup_reversal: bool = False) -> Swee
     does. The pool adds no thread before it forks: Python 3.11 starts
     every worker before the pool's manager thread. No worker outlives the
     call, whether it returns or raises.
-
-    Every sweep starts with morse's memo of reduction plans empty, in this
-    process and so in the workers it forks: each sweep computes the plans
-    of its own words, with the reduce_step it finds in place, as a fresh
-    command would.
     """
-    morse._plan.cache_clear()
     todo = list(words.enumerate_canonical_words(max_len, max_alphabet, dedup_reversal))
     workers = usable_cpus()
     if workers == 1 or len(todo) < POOL_MIN_WORDS or not hasattr(os, "fork"):

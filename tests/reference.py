@@ -16,7 +16,6 @@ from typing import Iterable
 
 from wordcomplex.complexes import DeltaComplex
 from wordcomplex.homology import Column, HomologyProfile, SmithNormalForm
-from wordcomplex.morse import _mu_formula
 from wordcomplex.words import ExpPresentation, ReducedForm, Word
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,16 @@ def mu(rf: ReducedForm, t: int, beta: ExpPresentation) -> ExpPresentation:
     expansion = rf.expand_presentation(beta)
     if beta != left_shifted(rf, expansion):
         raise ValueError("beta must be a left-shifted presentation")
-    out = _mu_formula(rf.exponents, height(beta, rf, t), beta)
+    alpha, h = rf.exponents, height(beta, rf, t)
+    # xi at the height: even exponents go up by one, odd ones down by one
+    flipped = beta[h - 1] - 1 if beta[h - 1] % 2 else beta[h - 1] + 1
+    if flipped > alpha[h - 1]:
+        raise ValueError("the full tuple is unmatched when the last exponent is even")
+    # runs before the height are used in full, runs after it as in beta
+    out = tuple(
+        alpha[k] if k < h - 1 else flipped if k == h - 1 else beta[k]
+        for k in range(len(beta))
+    )
     if out != left_shifted(rf, rf.expand_presentation(out)):
         raise RuntimeError(f"matching image {out} of {beta} is not left-shifted")
     if height(out, rf, t) != height(beta, rf, t):

@@ -117,6 +117,25 @@ def test_subdivide_refuses_large_prediction(capsys, monkeypatch):
     assert code == 2 and "sd^4 would have 1455521 cells" in err
 
 
+def test_subdivide_bounds_the_cells_of_all_stages(capsys, monkeypatch):
+    # a point's stages never grow, and aa's stages 0 to 15 have 2 to 65,536
+    # cells each but 131,070 together; every stage is built, so all of them
+    # count against the bound
+    def never(X):
+        raise AssertionError("subdivided before the size guard")
+
+    monkeypatch.setattr("wordcomplex.complexes.barycentric_subdivide", never)
+    assert sum(2 ** (k + 1) for k in range(16)) == 131_070 > cli.MAX_SUBDIVISION_CELLS
+    for argv, total in [
+        (("a", "--times", "100000"), 100_001),
+        (("a", "--times", str(10**9)), 100_001),
+        (("aa", "--times", "15"), 131_070),
+    ]:
+        code, _, err = run(capsys, "subdivide", *argv)
+        assert code == 2, argv
+        assert f"would have {total} cells together" in err and "--force" in err, argv
+
+
 def test_plain_words_refuse_large_complexes(capsys, monkeypatch):
     def never(word):
         raise AssertionError("built a complex before the size guard")

@@ -1,9 +1,9 @@
 """The library's imports and names: every module-level import of a library
 module is used by that module, every module-level function and class, and
 every method and property of such a class, is named by the library or the
-benchmark harness outside its own body, no library module names the coface
-table, only words.py renames letters, and importing the command line loads
-no pool module."""
+benchmark harness outside its own body, no library module reads another's
+underscore names, no library module names the coface table, only words.py
+renames letters, and importing the command line loads no pool module."""
 
 import ast
 import subprocess
@@ -149,6 +149,69 @@ def test_library_names_every_function():
     sources = {p.stem: p.read_text() for p in SOURCES}
     readers = {f"perfbench.{p.stem}": p.read_text() for p in PERFBENCH}
     assert unnamed_definitions(sources, readers) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_names(sources: dict[str, str], package: str) -> list[str]:
+    """The underscore names (not dunders) that a module of sources takes
+    from another module of sources, imported by name ("m imports o._x") or
+    read as an attribute of the imported module ("m reads o._x"), imported
+    relatively or from the package by name."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        modules = {}  # local name -> module of sources
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                origin = node.module or ""
+            elif node.module == package or node.module.startswith(package + "."):
+                origin = node.module[len(package) + 1 :]
+            else:
+                continue  # a module outside the package
+            for a in node.names:
+                if not origin and a.name in sources:
+                    modules[a.asname or a.name] = a.name
+                elif origin in sources and origin != module and _private(a.name):
+                    found.append(f"{module} imports {origin}.{a.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id, module) != module
+                and _private(node.attr)
+            ):
+                found.append(f"{module} reads {modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_the_checker_sees_a_foreign_private_name():
+    sources = {
+        "a": "from . import a\n\ndef _hidden():\n    pass\n\n"
+        "def shown():\n    return _hidden(), a._hidden\n",
+        "b": "from . import a\nfrom .a import shown, _hidden\n\n"
+        "x = a.shown(), a._hidden(), a.__name__\n",
+        "c": "from pkg import a as alias\nfrom pkg.a import _hidden as h\n\n"
+        "y = alias._hidden\n",
+        "d": "import os\nfrom typing import _SpecialForm\nfrom a import _hidden\n\n"
+        "z = os._exit\n",
+    }
+    assert foreign_private_names(sources, "pkg") == [
+        "b imports a._hidden", "b reads a._hidden",
+        "c imports a._hidden", "c reads a._hidden",
+    ]
+
+
+def test_no_library_module_reads_another_modules_private_name():
+    # a module's underscore names are its own to change: a memo, a helper or
+    # a formula another module reaches into ties the two together
+    modules = Path(wordcomplex.__file__).parent.glob("*.py")
+    sources = {p.stem: p.read_text() for p in modules}
+    assert foreign_private_names(sources, "wordcomplex") == []
 
 
 def test_no_library_module_names_the_coface_table():

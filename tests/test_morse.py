@@ -84,13 +84,13 @@ def matched_cells(matching):
 
 @pytest.fixture
 def named_tuples(monkeypatch):
-    """The cell -> tuple maps the matchings hand to their flip routine."""
+    """The tuple -> cell maps the matchings hand to their flip routine."""
     seen = []
     flip = morse._flip_matching
 
-    def spy(word, rf, t, named, critical):
+    def spy(word, alpha, t, named, critical):
         seen.append(named)
-        return flip(word, rf, t, named, critical)
+        return flip(word, alpha, t, named, critical)
 
     monkeypatch.setattr(morse, "_flip_matching", spy)
     return seen
@@ -195,30 +195,43 @@ def test_full_matching_tuples_are_left_shifted(named_tuples):
         full_matching(word)
         named = named_tuples[-1]
         rf = reduced_form(word)
-        assert set(named) == distinct_subwords(word) | {EMPTY}, word
+        assert set(named.values()) == distinct_subwords(word) | {EMPTY}, word
         assert named == {
-            u: (0,) * len(rf) if u == EMPTY else left_shifted(rf, u) for u in named
+            (0,) * len(rf) if u == EMPTY else left_shifted(rf, u): u
+            for u in named.values()
         }, word
 
 
 def test_flip_matching_refuses_a_flip_leaving_the_named_cells():
     word = w("aaa")
-    rf = reduced_form(word)
-    named = {EMPTY: (0,), w("a"): (1,), w("aa"): (2,), word: (3,)}
-    assert morse._flip_matching(word, rf, 1, named, ()) == full_matching(word)
-    del named[word]  # the partner of aa
+    named = {(0,): EMPTY, (1,): w("a"), (2,): w("aa"), (3,): word}
+    assert morse._flip_matching(word, (3,), 1, named, ()) == full_matching(word)
+    del named[(3,)]  # the partner of aa
     with pytest.raises(RuntimeError, match="names no matched cell"):
-        morse._flip_matching(word, rf, 1, named, ())
+        morse._flip_matching(word, (3,), 1, named, ())
 
 
 def test_flip_matching_refuses_a_flip_that_is_not_involutive(monkeypatch):
     word = w("aaa")
-    rf = reduced_form(word)
-    named = {EMPTY: (0,), w("a"): (1,), w("aa"): (2,), word: (3,)}
+    named = {(0,): EMPTY, (1,): w("a"), (2,): w("aa"), (3,): word}
     skewed = {(0,): (1,), (1,): (0,), (2,): (3,), (3,): (1,)}  # (3,) goes back to (1,)
     monkeypatch.setattr(morse, "_mu_formula", lambda alpha, h, beta: skewed[beta])
     with pytest.raises(RuntimeError, match="not involutive"):
-        morse._flip_matching(word, rf, 1, named, ())
+        morse._flip_matching(word, (3,), 1, named, ())
+
+
+@pytest.mark.parametrize("top", [(3,), (-1,), (2, 0)])
+def test_flip_matching_checks_the_bounds_of_every_named_tuple(top):
+    # aa's matching leaves its top critical; a top tuple out of bounds is
+    # refused whether it is named for pairing or kept critical
+    word = w("aa")
+    named = {(0,): EMPTY, (1,): w("a"), (2,): word}
+    assert morse._flip_matching(word, (2,), 1, named, ((2,),)) == full_matching(word)
+    named = {(0,): EMPTY, (1,): w("a"), top: word}
+    with pytest.raises(ValueError, match="0 <= beta <= alpha"):
+        morse._flip_matching(word, (2,), 1, named, ())
+    with pytest.raises(ValueError, match="0 <= beta <= alpha"):
+        morse._flip_matching(word, (2,), 1, named, (top,))
 
 
 def test_full_matching_pinned():
@@ -478,9 +491,9 @@ def test_reduce_step_tuples_are_p_shifted(named_tuples):
         rf = reduced_form(word)
         p = matching.t + 1
         lost = lost_subwords(word, new)
-        assert set(named) == lost, word
-        assert set(named.values()) == {p_shifted(rf, u, p) for u in lost}, word
-        for beta in named.values():
+        assert set(named.values()) == lost, word
+        assert named == {p_shifted(rf, u, p): u for u in lost}, word
+        for beta in named:
             assert is_p_shifted(rf, beta, p), (word, beta)
             assert beta[p - 1] == rf.exponents[p - 1], (word, beta)
 

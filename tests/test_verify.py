@@ -252,32 +252,31 @@ def test_pooled_workers_run_the_callers_code(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_a_sweep_starts_with_no_reduction_plan_kept(monkeypatch):
-    # a plan kept from an earlier reduction must not hide a reduce_step
-    # patched since: the sweep, and the workers it forks, start with none
-    step = morse.reduce_step
-    abcab = parse_word("abcab")
+def test_a_warm_memo_of_reduction_plans_changes_no_sweep(monkeypatch):
+    # a plan depends on its word alone, so a sweep reports the same whether
+    # morse's memo starts empty or holds the plans of every one of its words,
+    # in this process and in the workers it forks
+    def report():
+        return json.dumps(sweep(5, 3).to_json(), sort_keys=True)
 
-    def refusing_step(word):
-        if word == abcab:
-            raise RuntimeError("reduce_step refused abcab")
-        return step(word)
-
-    def warm_then_refuse():
-        monkeypatch.setattr(morse, "reduce_step", step)
+    def warm():
         for word in words.enumerate_canonical_words(5, 3):
             morse.reduce_to_core(complexes.build(word))
         hits = morse._plan.cache_info().hits
-        morse._plan(abcab, False)
+        morse._plan(parse_word("abcab"), False)
         assert morse._plan.cache_info().hits == hits + 1  # abcab's plan is kept
-        monkeypatch.setattr(morse, "reduce_step", refusing_step)
 
-    warm_then_refuse()
-    assert sweep(5, 3).failures == (("abcab", "reduction_law"),)
+    morse._plan.cache_clear()
+    cold = report()
+    warm()
+    assert report() == cold
     monkeypatch.setattr(verify, "POOL_MIN_WORDS", 1)
     monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
-    warm_then_refuse()
-    assert sweep(5, 3).failures == (("abcab", "reduction_law"),)
+    morse._plan.cache_clear()
+    assert report() == cold
+    warm()
+    assert report() == cold
+    assert multiprocessing.active_children() == []
 
 
 def test_failing_reduction_step_is_reported(monkeypatch):
