@@ -33,23 +33,25 @@ from .words import Word, format_word, subwords_in_order
 
 
 def _subword_text(label) -> Optional[str]:
-    """The label spelled over a-z when it is a word of letter ids 0..25,
-    else None: a word's name, a cell's subword in exports."""
-    if isinstance(label, tuple) and all(
-        isinstance(a, int) and 0 <= a <= 25 for a in label
-    ):
+    """The label spelled over a-z when format_word can spell it, else None:
+    a word's name, a cell's subword in exports."""
+    try:
         return format_word(label)
-    return None
+    except (TypeError, ValueError):
+        return None
 
 
 class DeltaComplex:
     """A face table and one label per cell. Each cell's dimension is read off
     its face count, and cells_by_dim groups the cells by dimension in the
-    table's order; validate() catches a cell with one face."""
+    table's order; validate() catches a cell with one face.
+
+    The caller hands both dicts over: the complex keeps them uncopied, and
+    nothing may change them afterwards."""
 
     def __init__(self, faces, labels, name=""):
-        self.faces: dict[int, tuple[int, ...]] = dict(faces)
-        self.labels: dict[int, object] = dict(labels)
+        self.faces: dict[int, tuple[int, ...]] = faces
+        self.labels: dict[int, object] = labels
         if self.labels.keys() != self.faces.keys():
             raise ValueError("the labels must name exactly the face table's cells")
         self.name = name
@@ -247,16 +249,12 @@ def free_pairs(X: DeltaComplex) -> list[tuple[int, int]]:
 # Barycentric subdivision
 
 
-def _flags(dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All strictly increasing chains of nonempty position subsets of a
-    dim-cell ending at the full set."""
-    return _chains(tuple(range(dim + 1)))
-
-
 @lru_cache(maxsize=None)
 def _chains(top: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(top,), then every chain of a proper nonempty subset of top with top
-    appended, the subsets by size and then in combinations order."""
+    """The strictly increasing chains of nonempty subsets of top that end at
+    top, the flags of a cell when top is its positions: (top,), then every
+    chain of a proper nonempty subset with top appended, the subsets by
+    size and then in combinations order."""
     return ((top,),) + tuple(
         chain + (top,)
         for size in range(1, len(top))
@@ -295,7 +293,7 @@ def barycentric_subdivide(X: DeltaComplex) -> DeltaComplex:
     """
     keys = []
     for c in X.dim_of:
-        for flag in _flags(X.dim_of[c]):
+        for flag in _chains(tuple(range(X.dim_of[c] + 1))):
             keys.append((c, flag))
     keys.sort(key=lambda k: (len(k[1]) - 1, X.labels[k[0]], k[1]))
     ids = {k: i for i, k in enumerate(keys)}

@@ -380,15 +380,12 @@ def chain_data(X: DeltaComplex) -> list[tuple[list[Column], SmithNormalForm]]:
 
 
 def check_composition(data: list[tuple[list[Column], SmithNormalForm]]) -> None:
-    """Raise unless consecutive maps of chain_data compose to zero."""
+    """Raise unless consecutive maps of chain_data compose to zero: the
+    lower map times each column of the upper one is the sparse product
+    _product_is with d = 0, the same one the certificates are read by."""
     for (low, _), (high, _) in zip(data, data[1:]):
         for col in high:
-            acc = {}
-            get = acc.get
-            for j, x in col.items():
-                for i, a in low[j].items():
-                    acc[i] = get(i, 0) + x * a
-            if any(acc.values()):
+            if not _product_is(low, col, 0, {}):
                 raise ArithmeticError("consecutive boundary maps do not compose to zero")
 
 

@@ -375,20 +375,18 @@ class ReductionTrace:
 
 
 @lru_cache(maxsize=256)
-def _plan(
-    word: Word, backwards: bool
-) -> tuple[Optional[ReductionStep], tuple[tuple[Word, Word], ...]]:
+def _plan(word: Word) -> tuple[Optional[ReductionStep], tuple[tuple[Word, Word], ...]]:
     """What reduce_to_core needs of the word alone, kept for the distinct
     words most recently reduced: the step (through the module's
     reduce_step, so a patched one is read on every miss) and its pairs
-    without the empty cell, read backwards when asked.
+    without the empty cell. How a complex's labels are read, forwards or
+    backwards, belongs to the complex, so the caller reverses the pairs.
 
     The plan is verified before it is returned: the pairs' cells must be
     exactly the subwords the word loses in the step, and the shorter word's
-    subwords must be the word's, or it raises. Reversal is a bijection, so
-    the reading does not change that verdict. A plan that raises is not
+    subwords must be the word's, or it raises. A plan that raises is not
     kept. Read with the module's own reduce_step, a plan depends on its
-    arguments alone, so what the memo holds never changes a result.
+    word alone, so what the memo holds never changes a result.
 
     With 256 plans the largest sweep worker peaked at 22.5 MB on
     sweep(9, 4) and 30.5 MB on sweep(14, 2), against 21.9 and 23.1 MB with
@@ -401,8 +399,6 @@ def _plan(
     before, after = distinct_subwords(word), distinct_subwords(step.after)
     if not after <= before or {u for p in pairs for u in p} != before - after:
         raise RuntimeError(f"removed cells of {word} do not leave {step.after}")
-    if backwards:
-        pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
     return step, pairs
 
 
@@ -422,10 +418,12 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     sigma), so the live cells stay closed under faces: they form the
     subcomplex of X without the removed cells.
 
-    A flip keeps the view and reverses how its labels are read: later pairs
-    are read backwards to be looked up in X. Reversal keeps the cell ids and
-    cofaces and moves deletion i of a d-cell to d - i, changing an incidence
-    only by (-1)^d, so X gives each pair the reversed complex's verdicts.
+    A flip keeps the view and reverses how its labels are read: a plan's
+    pairs name the current word's subwords, so after an odd number of flips
+    they are reversed here to be looked up in X. Reversal keeps the cell ids
+    and cofaces and moves deletion i of a d-cell to d - i, changing an
+    incidence only by (-1)^d, so X gives each pair the reversed complex's
+    verdicts.
 
     The labels of X must be the subwords of the word before the first step,
     so a complex not the word's fails even with no step, and those of the
@@ -455,12 +453,14 @@ def reduce_to_core(X: DeltaComplex) -> ReductionTrace:
     backwards = False  # whether the current word reads the labels of X reversed
     steps: list[ReductionStep] = []
     while True:
-        step, pairs = _plan(current, backwards)
+        step, pairs = _plan(current)
         if step is None:
             break
         if step.kind == "flip":
             backwards = not backwards
         else:
+            if backwards:
+                pairs = tuple((s[::-1], t[::-1]) for s, t in pairs)
             bad = [c for c in validate_collapsing_order(view, pairs) if not c.ok]
             if bad:
                 raise RuntimeError(f"collapsing order invalid for {current}: {bad[:3]}")

@@ -50,6 +50,12 @@ def test_invalid_letters_exit_2(capsys):
     assert "a-z" in err
 
 
+def test_empty_word_exit_2(capsys):
+    code, out, err = run(capsys, "analyze", "")
+    assert code == 2 and out == ""
+    assert err == "usage error: the word must be nonempty\n"
+
+
 def test_long_word_requires_force(capsys):
     code, _, err = run(capsys, "analyze", "a" * 15)
     assert code == 2 and "--force" in err
@@ -201,6 +207,16 @@ def test_analyze_text(capsys):
     assert "(2, 3, 1)" in out
 
 
+def test_analyze_names_a_decomposition(capsys):
+    code, out, _ = run(capsys, "analyze", "ab")
+    assert code == 0
+    assert "decomposable:        a | b\n" in out
+    code, payload, _ = run_json(capsys, "analyze", "ab")
+    assert code == 0
+    validate(payload, "analyze")
+    assert payload["decomposition"] == ["a", "b"]
+
+
 def test_analyze_json_schema(capsys):
     code, payload, _ = run_json(capsys, "analyze", "aba")
     assert code == 0
@@ -235,6 +251,19 @@ def test_morse_command(capsys):
     assert payload["critical"] == ["aabb"]
     assert payload["collapsing_order_valid"] is True
 
+    code, out, _ = run(capsys, "morse", "aabb")
+    assert code == 0
+    assert out.splitlines() == [
+        "matching on the complex of aabb:",
+        "            bb <-> abb          (dim 1)",
+        "            aa <-> aab          (dim 1)",
+        "             b <-> ab           (dim 0)",
+        "             - <-> a            (dim -1)",
+        "critical cells: ['aabb']",
+        "checks: {'partition': True, 'dims': True, 'incidence': True, "
+        "'locality': True}, collapsing order valid: True",
+    ]
+
     code, out, err = run(capsys, "morse", "abb")
     assert code == 1 and out == ""
     assert err == "error: all run exponents before the last must be even\n"
@@ -251,6 +280,15 @@ def test_collapse_command_modes(capsys):
     validate(payload, "collapse")
     assert payload["mode"] == "reduction"
     assert payload["reduction"]["terminal"] == "a"
+
+    code, out, _ = run(capsys, "collapse", "abaa")
+    assert code == 0
+    assert out == (
+        "reduction of abaa:\n"
+        "  delete    abaa -> aaa\n"
+        "  contract  aaa -> a\n"
+        "terminal: a\n"
+    )
 
     # an alternating word in other letters: every cell named, in JSON and
     # in text, is a subword of the word given, not of its canonical form
@@ -280,6 +318,15 @@ def test_subdivide_command(capsys):
     assert code == 0
     assert payload["f_vectors"] == [[1, 1], [2, 2], [4, 4]]
     assert payload["simplicial"] is True
+
+    code, out, _ = run(capsys, "subdivide", "aaa")
+    assert code == 0
+    assert out == (
+        "sd^0 f-vector: (1, 1, 1)\n"
+        "sd^1 f-vector: (3, 8, 6)\n"
+        "reduced Euler characteristic: 0\n"
+        "simplicial: False\n"
+    )
 
 
 def test_export_formats(capsys):
@@ -331,6 +378,14 @@ def test_tables_command(capsys):
     assert payload["length_5"]["count"] == 15
     assert payload["length_5"]["unlisted"] == ["abcab", "abcba"]
 
+    code, out, _ = run(capsys, "tables")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "indecomposable words, length <= 4: 9"
+    assert lines[2] == "indecomposable words, length 5: 15"
+    assert "not in the published table: abcab abcba" in lines
+    assert lines[-1] == "MISMATCH with the published tables"
+
 
 def test_sweep_command(capsys, tmp_path, monkeypatch):
     reports = tmp_path / "reports"
@@ -378,3 +433,20 @@ def test_sweep_text_output(capsys):
     code, out, _ = run(capsys, "sweep", "--max-len", "2", "--alphabet", "2")
     assert code == 0
     assert "ok" in out
+
+
+def test_sweep_text_lists_failures(capsys, monkeypatch):
+    # a law that raises fails every word with a note; the text output lists
+    # the first 20 failures, counts the rest, and the sweep exits 1
+    def broken(X):
+        raise RuntimeError("no pseudomanifold check today")
+
+    monkeypatch.delenv("WORDCOMPLEX_REPORT_DIR", raising=False)
+    monkeypatch.setattr("wordcomplex.complexes.is_pseudomanifold", broken)
+    code, out, _ = run(capsys, "sweep", "--max-len", "4", "--alphabet", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "swept 22 words (max length 4, alphabet 3)"
+    assert lines[1] == "  FAIL a: pseudomanifold_law"
+    assert sum(line.startswith("  FAIL ") for line in lines) == 20
+    assert lines[-2:] == ["  ... and 2 more failures", "22 failures"]

@@ -338,7 +338,7 @@ def test_subdivide_preserves_euler_and_homology():
 def test_subdivision_f_vector_counts_flags():
     for d in range(6):
         by_length = [0] * (d + 1)
-        for flag in C._flags(d):
+        for flag in C._chains(tuple(range(d + 1))):
             by_length[len(flag) - 1] += 1
         assert C.subdivision_f_vector((0,) * d + (1,)) == tuple(by_length)
     # one 11-cell alone: Fubini(12) ordered set partitions of its positions
@@ -378,6 +378,15 @@ def test_grading_is_read_off_the_face_table():
     for labels in ({0: "v"}, {0: "v", 1: "w", 2: "e"}, {0: "v", 2: "w"}):
         with pytest.raises(ValueError, match="labels must name exactly"):
             DeltaComplex({0: (), 1: ()}, labels)
+    with pytest.raises(ValueError, match="cell labels must be unique"):
+        DeltaComplex({0: (), 1: ()}, {0: "v", 1: "v"})
+    # the triangle 3 above reads its edge as both 0 -> 1 and 1 -> 0 ...
+    with pytest.raises(ValueError, match=r"simplicial identity fails at cell 3, i=0, j=2"):
+        X.validate()
+    # ... and a triangle on two vertices and an edge has faces one too low
+    low = DeltaComplex({0: (), 1: (), 2: (0, 1), 3: (0, 1, 2)}, dict(enumerate("vweT")))
+    with pytest.raises(ValueError, match="face of 3 has wrong dimension"):
+        low.validate()
 
 
 # -- recognition --------------------------------------------------------------------

@@ -426,6 +426,18 @@ def test_snf_certificate_rejects_tampering():
     with pytest.raises(ArithmeticError, match="positive"):
         tampered.check(columns_of([[2, 0], [0, 2]]))
 
+    # positive factors that do not divide each other
+    tampered = reduce_dense([[2, 0], [0, 2]])
+    tampered.diagonal = (2, 3)
+    with pytest.raises(ArithmeticError, match="divisor chain"):
+        tampered.check(columns_of([[2, 0], [0, 2]]))
+
+    # a column of V naming a column M does not have
+    tampered = smith_normal_form(M, m)
+    tampered.V[0][len(M)] = 1
+    with pytest.raises(ArithmeticError, match="certificate shapes do not match M"):
+        tampered.check(M)
+
 
 def is_one_column(snf, t):
     """Whether M V[t] = d_t U_inv[t] is read as a comparison: V[t] is one

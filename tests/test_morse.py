@@ -623,6 +623,24 @@ def test_reduce_to_core_refuses_survivors_the_word_lacks(monkeypatch):
         reduce_to_core(build(w("aaba")))
 
 
+def test_reduce_to_core_checks_the_order_of_every_step(monkeypatch):
+    # the pairs in the opposite order name the same cells, so the plan's
+    # check passes, but a lower pair now goes before the cells above it
+    step = morse.reduce_step
+
+    def reordered(word):
+        found = step(word)
+        assert found.kind == "delete"
+        pairs = found.matching.pairs[::-1]
+        return dataclasses.replace(
+            found, matching=dataclasses.replace(found.matching, pairs=pairs)
+        )
+
+    monkeypatch.setattr(morse, "reduce_step", reordered)
+    with pytest.raises(RuntimeError, match="collapsing order invalid"):
+        reduce_to_core(build(w("aaba")))
+
+
 def test_the_memo_of_reduction_plans_is_bounded():
     assert morse._plan.cache_info().maxsize is not None
 
@@ -858,6 +876,37 @@ def test_alternating_collapse_step_rules_tagged():
     run = alternating_collapse(alt_word(6))
     assert set(run.rules) <= {"R1", "R2", "R3", "R4"}
     assert run.core == w("aabb")
+
+
+# each patch breaks one check of alternating_collapse on ababab, whose core
+# is aabb, while the checks before it still pass: (owner, name, patch of the
+# real attribute)
+BROKEN_ALTERNATING_RULES = {
+    # every cell's partner is its prefix, whose partner is shorter still
+    "not involutive": (morse, "alt_partner", lambda real: lambda u, a, b: (u[:-1], "R1", False)),
+    # both cells of each pair claim the lower side, so the pair counts twice
+    "do not partition": (
+        morse, "alt_partner", lambda real: lambda u, a, b: (*real(u, a, b)[:2], True)
+    ),
+    # the word named as its own core, though the rules match it
+    "unexpected critical cells": (morse, "fundamental_subword", lambda real: lambda u: u),
+    # the core listed without the vertex b, whose partner ab it keeps
+    "straddles the core": (
+        morse, "distinct_subwords", lambda real: lambda u: real(u) - {w("b")}
+    ),
+    # no pair is ever free
+    "is stuck": (Collapsing, "is_free", lambda real: lambda view, sigma, tau: False),
+    # the core listed with a cell the complex lacks, which no collapse leaves
+    "left": (morse, "distinct_subwords", lambda real: lambda u: real(u) | {w("z")}),
+}
+
+
+@pytest.mark.parametrize("message", list(BROKEN_ALTERNATING_RULES))
+def test_alternating_collapse_refuses_broken_rules(monkeypatch, message):
+    owner, name, patch = BROKEN_ALTERNATING_RULES[message]
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+    with pytest.raises(RuntimeError, match=message):
+        alternating_collapse(alt_word(6))
 
 
 def test_trace_json_round_trip():

@@ -263,7 +263,7 @@ def test_a_warm_memo_of_reduction_plans_changes_no_sweep(monkeypatch):
         for word in words.enumerate_canonical_words(5, 3):
             morse.reduce_to_core(complexes.build(word))
         hits = morse._plan.cache_info().hits
-        morse._plan(parse_word("abcab"), False)
+        morse._plan(parse_word("abcab"))
         assert morse._plan.cache_info().hits == hits + 1  # abcab's plan is kept
 
     morse._plan.cache_clear()
