@@ -17,6 +17,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import complexes, homology, morse, words
 from .words import Word, format_word
@@ -89,7 +90,9 @@ class SweepReport:
 
 class _Word:
     """One word, the values its laws share, each computed once, and the
-    verdicts and notes so far. Each method is a law of LAWS."""
+    verdicts and notes so far. Each method is a law of LAWS. The chain data
+    and its profile are computed by the first law that reads them, so an
+    error there fails each law that reads them, not the sweep."""
 
     def __init__(self, word: Word):
         self.word = word
@@ -103,10 +106,16 @@ class _Word:
             X.reduced_euler(),
             -1 if cls.is_spherical else 0,
         )
-        self.data = homology.chain_data(X)
-        self.profile = homology.profile_of(self.data)
         self.checks: dict[str, str] = {}
         self.notes: list[str] = []
+
+    @cached_property
+    def data(self) -> list[tuple[list[homology.Column], homology.SmithNormalForm]]:
+        return homology.chain_data(self.X)
+
+    @cached_property
+    def profile(self) -> homology.HomologyProfile:
+        return homology.profile_of(self.data)
 
     def valid(self) -> bool:
         self.X.validate()
@@ -191,19 +200,23 @@ CHECK_NAMES = tuple(name for name, _ in LAWS)
 def examine_word(word: Word) -> WordReport:
     """Run every law of LAWS on one word, in report order. A law that
     raises ValueError, RuntimeError or ArithmeticError (the errors
-    `cli.main` turns into exit 1) fails, and its message becomes a note."""
+    `cli.main` turns into exit 1) fails, and its message becomes a note,
+    once: a shared value that raises fails every law that reads it. The
+    row's homology is then empty."""
     w = _Word(word)
     for name, law in LAWS:
         try:
             ok = law(w)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             ok = False
-            w.notes.append(str(exc))
+            if str(exc) not in w.notes:
+                w.notes.append(str(exc))
         w.checks[name] = SKIP if ok is None else PASS if ok else FAIL
+    profile = vars(w).get("profile")  # absent when it raised
     return WordReport(
         format_word(word), w.X.f_vector(), w.eulers[0], w.cls.is_spherical,
         w.cls.is_circular, len(w.cls.circular_factors), str(w.predicted),
-        w.profile.groups, w.checks, tuple(w.notes),
+        profile.groups if profile else (), w.checks, tuple(w.notes),
     )
 
 

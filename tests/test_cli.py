@@ -387,6 +387,15 @@ def test_tables_command(capsys):
     assert lines[-1] == "MISMATCH with the published tables"
 
 
+def test_tables_command_names_a_published_word_never_found(capsys, monkeypatch):
+    # abcde splits into ab and cde, so no enumeration of indecomposable
+    # words finds it
+    monkeypatch.setattr(verify, "TABLE_LENGTH_5", verify.TABLE_LENGTH_5 + ("abcde",))
+    code, out, _ = run(capsys, "tables")
+    assert code == 1
+    assert "published but never found: abcde" in out.splitlines()
+
+
 def test_sweep_command(capsys, tmp_path, monkeypatch):
     reports = tmp_path / "reports"
     monkeypatch.setenv("WORDCOMPLEX_REPORT_DIR", str(reports))

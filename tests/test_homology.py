@@ -119,6 +119,36 @@ def test_snf_known_matrix():
         assert all(abs(x).bit_length() <= 64 for col in snf.U_inv + snf.V for x in col.values())
 
 
+def test_unit_pivots_on_rows_of_several_entries():
+    # every row holds two or more unit entries, so at least the first pivot
+    # row has more than its pivot entry, and that rest is added to each row
+    # its column clears; a residual pivot follows in the first and last
+    cases = [
+        [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
+        [[1, 1, 1, 0], [1, -1, 0, 1], [0, 1, -1, 1], [1, 0, 1, -1]],
+        [[1, -1, 1, 1, 0], [-1, 1, 0, 1, 1], [1, 1, -1, 0, 1], [0, 1, 1, -1, -1]],
+    ]
+    for M in cases:
+        snf = reduce_dense(M)
+        snf.check(columns_of(M))
+        assert_unimodular(snf.U_inv)
+        assert_unimodular(snf.V)
+        assert snf.diagonal == dense_snf(M).diagonal, M
+
+    # the same with a column cleared: the map above is e0 - e1, whose unit
+    # pivot is row 0, and M, whose columns 0 and 1 agree, maps it to zero
+    upper = smith_normal_form([{0: 1, 1: -1}], 4)
+    assert upper.unit_rows == (0,)
+    dense = [[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]]
+    M = columns_of(dense)
+    snf = smith_normal_form(M, 3, upper)
+    snf.check(M, upper)
+    assert_unimodular(snf.U_inv)
+    assert_unimodular(snf.V)
+    assert snf.diagonal == dense_snf(dense).diagonal == (1, 1, 2)
+    assert snf.V[snf.rank] == upper.U_inv[0]
+
+
 def test_snf_against_minor_gcd_oracle():
     rng = random.Random(7)
     for trial in range(30):

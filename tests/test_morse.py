@@ -234,6 +234,24 @@ def test_flip_matching_checks_the_bounds_of_every_named_tuple(top):
         morse._flip_matching(word, (2,), 1, named, (top,))
 
 
+def test_flip_matching_refuses_a_bad_cap_or_cover():
+    word = w("aa")
+    named = {(0,): EMPTY, (1,): w("a"), (2,): word}
+    for t in (0, 2):
+        with pytest.raises(ValueError, match="index t must lie between"):
+            morse._flip_matching(word, (2,), t, named, ((2,),))
+    # abb: an odd exponent before the cap
+    with pytest.raises(ValueError, match="exponents before index t must all be even"):
+        morse._flip_matching(w("abb"), (1, 2), 2, {(0, 0): EMPTY}, ())
+    # the top tuple of aa flips past alpha in _mu_formula when it is not
+    # kept critical
+    with pytest.raises(ValueError, match="the full tuple is unmatched"):
+        morse._flip_matching(word, (2,), 1, named, ())
+    # a, kept critical, is also the partner of the empty cell
+    with pytest.raises(RuntimeError, match="matching does not partition the cells"):
+        morse._flip_matching(word, (2,), 1, named, ((1,), (2,)))
+
+
 def test_full_matching_pinned():
     # sha256 of the sorted-key JSON matchings of the eligible words of
     # length <= 8 over 4 letters, one per line, as the matching that
@@ -750,6 +768,9 @@ def test_alt_partner_rules():
     assert alt_partner(w("b"), 0, 1) == (w("ab"), "R1", True)
     assert alt_partner(w("aaa"), 0, 1) == (w("aaba"), "R2", True)
     assert alt_partner(w("aabb"), 0, 1) == (w("aabba"), "R3", True)
+    for u in (w("c"), w("ac"), w("aabbc")):  # a third letter
+        with pytest.raises(RuntimeError, match="unclassified two-letter word"):
+            alt_partner(u, 0, 1)
 
 
 def test_alt_partner_is_an_involution():

@@ -95,6 +95,8 @@ def test_reduced_form_round_trip_and_errors():
         assert all(a != b for (a, _), (b, _) in zip(rf.runs, rf.runs[1:]))
     with pytest.raises(ValueError):
         reduced_form(())
+    with pytest.raises(ValueError, match="length must match the number of runs"):
+        reduced_form(w("aab")).expand_presentation((1, 1, 0))
 
 
 # -- arrows ------------------------------------------------------------------
@@ -333,6 +335,10 @@ def test_enumerate_counts():
     # restricted growth strings: Bell-number counts when the alphabet is free
     assert sum(1 for _ in enumerate_canonical_words(4, 4)) == 1 + 2 + 5 + 15
     assert sum(1 for u in enumerate_canonical_words(4, 2) if len(u) == 4) == 8
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        next(enumerate_canonical_words(0, 3))
+    with pytest.raises(ValueError, match="max_alphabet must be at least 1"):
+        next(enumerate_canonical_words(3, 0))
 
 
 def test_canonical_word_count_is_the_enumeration_count():
