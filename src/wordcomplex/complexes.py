@@ -6,9 +6,13 @@ The grading is read off the table, since a d-cell has d + 1 faces for
 d >= 1 and a vertex has none. All higher boundary maps arise by composing
 single deletions, which is unambiguous once the simplicial identities
 d_i d_j = d_{j-1} d_i (i < j) hold; validate() checks them directly.
-The face table is the only incidence data a complex keeps, and nothing
-changes a complex after it is built: Collapsing, the live view of a partly
-collapsed complex, counts each cell's cofaces from the face table itself.
+A word complex is built in one walk of the word's subword automaton
+(words.subword_levels), which hands each subword over with its prefix's
+place, so each cell's faces are read off its prefix's faces with no
+subword sliced or hashed. The face table is the only incidence data a
+complex keeps, and nothing changes a complex after it is built:
+Collapsing, the live view of a partly collapsed complex, counts each
+cell's cofaces from the face table itself.
 
 The incidence number of a codimension-one pair is the signed count of
 deletions, with position i carrying sign (-1)^(i+1) (the sign of the
@@ -29,7 +33,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .words import Word, format_word, subwords_in_order
+from .words import Word, format_word, subword_levels
 
 
 def _subword_text(label) -> Optional[str]:
@@ -56,7 +60,7 @@ class DeltaComplex:
             raise ValueError("the labels must name exactly the face table's cells")
         self.name = name
         self.dim_of: dict[int, int] = {
-            c: max(len(fs) - 1, 0) for c, fs in self.faces.items()
+            c: len(fs) - 1 if fs else 0 for c, fs in self.faces.items()
         }
         self.cells_by_dim: list[list[int]] = [
             [] for _ in range(max(self.dim_of.values(), default=-1) + 1)
@@ -143,38 +147,42 @@ def build(word: Word) -> DeltaComplex:
 
     The face at deletion position i of a cell is the subword with that
     letter removed; equal subwords index a single cell, which is exactly
-    the gluing. Cells are numbered in the order subwords_in_order yields
-    them: by dimension, then lexicographically.
+    the gluing. Cells are numbered in the order subword_levels walks them:
+    by dimension, then lexicographically.
 
     Faces are grown from the prefix's faces: for u = v.a, deleting
     position i < |u| - 1 gives face_i(v).a, and deleting the last letter
-    gives v. A map per letter a, from the id of x to that of x.a, is filled
-    as the cells are met in dimension order, and each face x.a of u has
-    dimension |u| - 2, so its entry is there when u is reached. A cell then
-    costs one lookup of its prefix, not a slice and a hash per face.
+    gives v. The walk hands over the place of v in the level before, so
+    v's id p is an offset away. A map per letter a, from the id of x to
+    that of x.a, is filled as the cells are met in dimension order, and each
+    face x.a of u has dimension |u| - 2, so its entry is there when u is
+    reached; a two-letter cell's first face is the letter a itself. A cell
+    then costs one lookup per face in its letter's map, and no slice or
+    hash of a subword.
     """
     if not word:
         raise ValueError("cannot build a complex from the empty word")
-    cells = subwords_in_order(word)
-    ids = {u: c for c, u in enumerate(cells)}
-    faces: dict[int, tuple[int, ...]] = {}
-    appended = {(a,): {} for a in set(word)}  # a -> {id of x: id of x.a}
-    for c, u in enumerate(cells):
-        if len(u) == 1:
-            faces[c] = ()
-            continue
-        a = u[-1:]
-        p = ids[u[:-1]]
-        grow = appended[a]
-        grow[p] = c
-        if len(u) == 2:
-            faces[c] = (ids[a], p)
-        else:
-            faces[c] = (*map(grow.__getitem__, faces[p]), p)
+    levels = subword_levels(word)
+    labels: dict[int, Word] = {c: u for c, (u, _, _) in enumerate(next(levels))}
+    faces: dict[int, tuple[int, ...]] = dict.fromkeys(labels, ())
+    letter = {u[0]: c for c, u in labels.items()}  # a -> id of a
+    appended = {a: {} for a in letter}  # a -> {id of x: id of x.a}
+    start = 0  # the id of the level before's first cell
+    for level in levels:
+        first = len(labels)
+        for c, (u, _, p) in enumerate(level, first):
+            p += start
+            a = u[-1]
+            grow = appended[a]
+            grow[p] = c
+            labels[c] = u
+            fs = faces[p]
+            faces[c] = (*map(grow.__getitem__, fs), p) if fs else (letter[a], p)
+        start = first
     name = _subword_text(word)
     if name is None:
         name = repr(word)
-    return DeltaComplex(faces, dict(enumerate(cells)), name=name)
+    return DeltaComplex(faces, labels, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ A word is a tuple of small integer letters. Canonical words use letters
 construction, homology, matchings) only depends on the induced partition
 of positions, so canonical renaming is lossless. Distinct subwords are
 listed, counted by length and signed-summed on one next-occurrence
-automaton of the word; the listing walks it one length at a time, so the
-subwords come out in the (length, lex) order that numbers the cells. The
+automaton of the word. The one walk that lists them (subword_levels) goes
+one length at a time, so the subwords come out in the (length, lex) order
+that numbers the cells, each with the index of its prefix in the level
+before; subwords_in_order and complexes.build are its two readers. The
 paper's other presentation routes (every presentation of a subword, the
 left-, right- and p-shifted ones, arrows and heights) are second routes of
 the tests, in tests/reference.py.
@@ -96,25 +98,37 @@ def _next_occurrence(word: Word) -> list[dict[int, int]]:
     return nxt
 
 
-def subwords_in_order(word: Word) -> list[Word]:
-    """All distinct nonempty subwords, by length and then lexicographically;
-    build numbers the cells of the complex in this order.
+def subword_levels(word: Word) -> Iterator[list[tuple[Word, int, int]]]:
+    """The distinct nonempty subwords, one level per length 1, 2, ..., each
+    level in lex order, as (u, state, p) triples: state is one past the end
+    of u's leftmost embedding, and p is the index of u[:-1] in the level
+    before (0 for a letter, whose prefix is the empty word).
 
     The subsequence automaton is walked one length at a time, each state's
     letters in sorted order. A subword is one path from state 0, and a level
     in lex order extends to the next level in lex order, so nothing is
     sorted, and the work is proportional to the subwords, not to the 2^n
-    position subsets.
+    position subsets. Both readers take their order from this walk:
+    subwords_in_order lists it, and build numbers its cells by it and grows
+    each cell's faces from those of its prefix p.
     """
     moves = [  # per state: (one-letter word, next state), by letter
         [((a,), j + 1) for a, j in sorted(row.items())]
         for row in _next_occurrence(word)
     ]
+    level: list[tuple[Word, int, int]] = [((), 0, 0)]
+    while level := [
+        (u + a, j, p) for p, (u, i, _) in enumerate(level) for a, j in moves[i]
+    ]:
+        yield level
+
+
+def subwords_in_order(word: Word) -> list[Word]:
+    """All distinct nonempty subwords, by length and then lexicographically:
+    subword_levels flattened, the order in which build numbers the cells."""
     found: list[Word] = []
-    level: list[tuple[Word, int]] = [((), 0)]
-    while level:
-        level = [(u + a, j) for u, i in level for a, j in moves[i]]
-        found += [u for u, _ in level]
+    for level in subword_levels(word):
+        found += [u for u, _, _ in level]
     return found
 
 

@@ -53,6 +53,19 @@ HARD_WORDS = (
     "abcdeabcde",
 )
 
+# the words of the benchmark's analyze workload, 14-18 letters each
+LONG_WORDS = (
+    "aaaaaaaaaaaaaaaa",
+    "aaaaaaaaaaaaaaaaaa",
+    "aabbaabbaabbaabb",
+    "aabbccaabbccaabb",
+    "abababababababab",
+    "abcabcabcabcabca",
+    "aabbaabbaabbaabbaa",
+    "abcdefghijklmn",
+    "abcdefghijklmnop",
+)
+
 
 def env_importing_the_package() -> dict[str, str]:
     """This process's environment, with the directory that holds the

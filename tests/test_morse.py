@@ -30,7 +30,7 @@ from wordcomplex.words import (
     fundamental_subword,
     parse_word,
     reduced_form,
-    subwords_in_order,
+    subword_levels,
 )
 
 from conftest import (
@@ -828,7 +828,7 @@ def test_alternating_collapse_drops_cells_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(DeltaComplex, "__init__", counting_init)
-    monkeypatch.setattr(complexes, "subwords_in_order", counting(subwords_in_order))
+    monkeypatch.setattr(complexes, "subword_levels", counting(subword_levels))
     monkeypatch.setattr(morse, "distinct_subwords", counting(distinct_subwords))
     alternating_collapse(alt_word(9))
     # the pairs are dropped from the one built complex, and the terminal

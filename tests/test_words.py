@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcomplex import words as W
+from wordcomplex.complexes import build
 from wordcomplex.words import (
     canonical_word_count,
     canonicalize,
@@ -22,11 +23,14 @@ from wordcomplex.words import (
     predict_homotopy,
     reduced_form,
     subword_counts,
+    subword_levels,
     subwords_in_order,
     xi,
 )
 
 from conftest import (
+    HARD_WORDS,
+    LONG_WORDS,
     arrow_by_scan,
     euler_by_enumeration,
     presentations_by_product,
@@ -148,6 +152,36 @@ def test_distinct_subwords_matches_position_oracle():
         assert subwords_in_order(word) == sorted(
             subwords_by_positions(word), key=lambda u: (len(u), u)
         )
+
+
+def leftmost_end(word, u):
+    """One past the end of u's leftmost embedding in word, by a greedy scan."""
+    end = 0
+    for a in u:
+        end = word.index(a, end) + 1
+    return end
+
+
+def test_subword_levels_walk_the_automaton():
+    # level n lists the length-n subwords in lex order; each one's prefix
+    # index points at u[:-1] in the level before, and its state is where
+    # its leftmost embedding ends
+    words = list(all_words(8, 4)) + [w(t) for t in HARD_WORDS + LONG_WORDS]
+    assert len(words) == 3_791
+    for word in words:
+        want = subwords_by_positions(word)
+        levels = list(subword_levels(word))
+        assert len(levels) == len(word), word
+        before = [()]
+        for n, level in enumerate(levels, 1):
+            listed = [u for u, _, _ in level]
+            assert listed == sorted(u for u in want if len(u) == n), word
+            for u, state, p in level:
+                assert before[p] == u[:-1], (word, u)
+                assert state == leftmost_end(word, u), (word, u)
+            before = listed
+        # build numbers its cells in the order of the walk
+        assert list(build(word).labels.values()) == subwords_in_order(word)
 
 
 def counts_by_length(subwords, n):
