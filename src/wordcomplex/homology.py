@@ -16,15 +16,12 @@ operations. The column is cleared in one pass: r_k += q r_p with
 q = -u r_k[c] leaves r_k[c] + q u = r_k[c] (1 - u^2) = 0, exactly, so
 r_k[c] is moved from its row into the pivot's U_inv column as it is read,
 and only the rest of row p is added to r_k. On a word complex that rest
-is almost always empty. Only when a row is left nonempty after the unit
-pivots is the residual phase entered, on the same rows: an entry of least
-absolute value is divided into its column and row with remainder, a
-remainder giving the next pivot, until one stands alone; a row with an
-entry it does not divide is then added to its row, for the divisor chain.
-No boundary map of a word complex has left such a block yet: every matrix
-of sweep(9, 4), of the 11,620 words of sweep(9, 9) with 5 or more
-letters, of 2,000 sampled words of length 14 over 2 letters and of the
-benchmark's hard words reduces by unit pivots alone.
+is almost always empty. A nonzero block with no unit entry left is
+refused, never reduced: the paper proves every word complex contractible
+or a homotopy odd sphere, so none has torsion, and no boundary map of one
+has left such a block (sweep(9, 4), the 11,620 words of sweep(9, 9) with
+5 or more letters, 2,000 sampled words of length 14 over 2 letters and the
+benchmark's hard words all reduce by unit pivots alone).
 
 A chain complex is reduced from the top dimension down, with the clearing
 (twist) of Chen and Kerber, "Persistent homology computation with a twist"
@@ -203,22 +200,15 @@ def smith_normal_form(
     entries, its column cleared in one pass: as u * u = 1 for a unit u,
     each row's entry in the pivot column cancels exactly, so it is moved
     into the pivot's U_inv column and only the rest of the pivot row is
-    added (see the module docstring). Only if a row is left is the block
-    finished, by pivots of least absolute value, divided into their column
-    and row with remainder until one stands alone and divides every entry
-    left.
+    added (see the module docstring). Raises ArithmeticError if a nonzero
+    block with no unit entry is left, which no word complex leaves.
 
     Given upper, the reduction of the map above M in chain_data, the columns
     at upper's unit pivot rows are cleared (see the module docstring): the
     elimination never reads them, and V holds the pivot columns, then a copy
     of upper's U_inv column for each unit pivot of upper, then the other
     columns in order. That V is unimodular, the copies being triangular on
-    their pivot rows with +-1 there. Only unit pivots are cleared: a
-    residual pivot's U_inv column is a boundary only when its factor is 1,
-    and the residual phase's row operations, run both ways between its
-    rows, need not leave it triangular with +-1 on its pivot row. They touch
-    no unit pivot's U_inv column, so the proofs that rest on those columns
-    hold unchanged."""
+    their pivot rows with +-1 there."""
     cleared = set(upper.unit_rows) if upper else set()
     # column -> rows using it, none for a cleared one
     where = [set() if j in cleared else set(col) for j, col in enumerate(M)]
@@ -283,56 +273,15 @@ def smith_normal_form(
                 heappush(queue, (len(rows[k]), k))
         col.clear()
         pivots.append((p, c))
+    if any(rows):
+        raise ArithmeticError("no unit entry is left in a nonzero block of the matrix")
     unit_rows = tuple(p for p, _ in pivots)
-    diagonal = [1] * len(pivots)
-
-    # The residual block. Each pass records a pivot or leaves a remainder
-    # below its pivot, so the picks shrink and the passes end. A row
-    # operation r_k += q r_p changes U_inv[p] by -q U_inv[k]; it touches only
-    # residual rows, so no unit pivot's U_inv column changes.
-    while any(rows):
-        _, p, c = min((abs(x), i, j) for i, row in enumerate(rows) for j, x in row.items())
-        row = rows[p]
-        x = row[c]
-        for k in sorted(where[c] - {p}):  # divide column c, by row operations
-            q = rows[k][c] // x
-            add_rows(p, {k: -q})
-            _add_multiple(U_inv[p], q, U_inv[k])
-        if len(where[c]) > 1:
-            continue  # a remainder: pick again
-        while True:  # divide row p, by column operations
-            for l, y in list(row.items()):
-                q = 0 if l == c else y // x
-                if q:
-                    _add_multiple(V[l], -q, V[c])
-                    if y == q * x:
-                        del row[l]
-                        where[l].discard(p)
-                    else:
-                        row[l] = y - q * x
-            if len(row) > 1:
-                break  # a remainder: pick again
-            k = next((k for k, rk in enumerate(rows) if any(y % x for y in rk.values())), None)
-            if k is None:
-                if x < 0:
-                    U_inv[p] = {i: -y for i, y in U_inv[p].items()}
-                diagonal.append(abs(x))
-                rows[p] = {}
-                where[c].discard(p)
-                pivots.append((p, c))
-                break
-            # for the divisor chain x must divide every entry left; row k
-            # holds one it does not, which leaves a remainder in row p
-            add_rows(k, {p: 1})
-            _add_multiple(U_inv[k], -1, U_inv[p])
-
-    lead_rows = [p for p, _ in pivots]
-    row_order = lead_rows + sorted(set(range(m)).difference(lead_rows))
+    row_order = list(unit_rows) + sorted(set(range(m)).difference(unit_rows))
     lead = [V.pop(c) for _, c in pivots]  # the rest of V stays in column order
     kernel = [dict(u) for u in upper.U_inv[: len(upper.unit_rows)]] if upper else []
     return SmithNormalForm(
         (m, len(M)),
-        tuple(diagonal),
+        (1,) * len(pivots),
         [U_inv[i] for i in row_order],
         lead + kernel + list(V.values()),
         unit_rows,

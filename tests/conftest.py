@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 
 import wordcomplex
-from wordcomplex import morse
+from wordcomplex import homology, morse
 from wordcomplex.complexes import Collapsing, DeltaComplex, free_pairs
 from wordcomplex.words import Word, distinct_subwords, reduced_form
 
@@ -36,6 +36,24 @@ def cold_reduction_plans():
     plan kept from an earlier test never hides the reduce_step a test
     patches."""
     morse._plan.cache_clear()
+
+
+@pytest.fixture
+def doubled_d2(monkeypatch):
+    """homology.boundary_matrix with every entry of d_2, the boundary map of
+    the 2-cells, doubled: the maps still compose to zero, but a nonzero d_2
+    then holds no unit entry, so the library refuses to reduce it. That is
+    the top map of aba, and the highest nonzero map of aabb, whose d_3 is
+    zero."""
+    exact = homology.boundary_matrix
+
+    def doubled(X, n):
+        M = exact(X, n)
+        if n != 2:
+            return M
+        return [{i: 2 * x for i, x in col.items()} for col in M]
+
+    monkeypatch.setattr(homology, "boundary_matrix", doubled)
 
 
 # the words of the benchmark's homology workload, 431-943 cells each

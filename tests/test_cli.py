@@ -244,6 +244,14 @@ def test_homology_command(capsys):
     assert "H~_1 = Z" in out
 
 
+def test_homology_command_refuses_a_block_with_no_unit_entry(capsys, doubled_d2):
+    # the doubled top map of aba would give Z/2; the library refuses it
+    code, out, err = run(capsys, "homology", "aba")
+    assert code == 1 and out == ""
+    assert err.startswith("error: no unit entry is left")
+    assert err.count("\n") == 1
+
+
 def test_morse_command(capsys):
     code, payload, _ = run_json(capsys, "morse", "aabb")
     assert code == 0

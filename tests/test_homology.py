@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -37,9 +38,28 @@ def all_words(max_len):
     return enumerate_canonical_words(max_len, max_len)
 
 
+# the start of the library's refusal of a nonzero block with no unit entry
+REFUSAL = "^no unit entry is left"
+
+
 def reduce_dense(M):
     """The reduction of a dense matrix, handed over as sparse columns."""
     return smith_normal_form(columns_of(M), len(M))
+
+
+def reduce_or_dense(M):
+    """The library's reduction of the dense M, its diagonal that of the
+    dense routine of tests/reference.py, or that routine's reduction where
+    the library refuses a block with no unit entry; and whether the library
+    reduced M."""
+    dense = dense_snf(M)
+    try:
+        snf = reduce_dense(M)
+    except ArithmeticError as exc:
+        assert re.match(REFUSAL, str(exc)), exc
+        return dense, False
+    assert snf.diagonal == dense.diagonal, M
+    return snf, True
 
 
 # -- boundary matrices ---------------------------------------------------------
@@ -83,20 +103,22 @@ def test_snf_trivial_cases():
 
 
 def test_snf_known_matrix():
+    # no unit entry in any of these, so the library refuses each, and the
+    # dense routine of tests/reference.py is the route to its certificate
     cases = [
+        ([[2]], [2], (2,)),
         # determinant divisors 2, 4, 624 give invariant factors 2, 2, 156
         ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 4, 624], (2, 2, 156)),
         # the pivot 2 does not divide 3, so the divisor chain needs a fix-up
         ([[2, 0], [0, 3]], [1, 6], (1, 6)),
-        # no unit entry anywhere: the dense routine of tests/reference.py
-        # gives transform entries of 901 bits here
+        # the dense routine's transform entries are 901 bits long here
         (
             [[6, 35, 2, 12, 9], [2, 35, 0, -15, 10], [-4, 10, 12, 12, 6], [0, 9, 12, 12, 35]],
             [1, 1, 2, 8],
             (1, 1, 2, 4),
         ),
-        # nor here, where the dense routine does not finish: its entries
-        # are 174 bits long by the fourth pivot
+        # and it does not finish here, its entries being 174 bits long by
+        # the fourth pivot, so only the divisors are checked
         (
             [
                 [12, 10, 9, 2, 12, 12],
@@ -106,56 +128,77 @@ def test_snf_known_matrix():
                 [35, -4, 9, -4, 6, -15],
             ],
             [1, 1, 1, 1, 36],
-            (1, 1, 1, 1, 36),
+            None,
         ),
     ]
     for M, divisors, diagonal in cases:
-        snf = reduce_dense(M)
+        assert [minors_gcd(M, k) for k in range(1, len(M) + 1)] == divisors
+        with pytest.raises(ArithmeticError, match=REFUSAL):
+            reduce_dense(M)
+        if diagonal is None:
+            continue
+        snf = dense_snf(M)
         snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
-        assert [minors_gcd(M, k) for k in range(1, len(M) + 1)] == divisors
         assert snf.diagonal == diagonal
-        assert all(abs(x).bit_length() <= 64 for col in snf.U_inv + snf.V for x in col.values())
 
 
 def test_unit_pivots_on_rows_of_several_entries():
     # every row holds two or more unit entries, so at least the first pivot
     # row has more than its pivot entry, and that rest is added to each row
-    # its column clears; a residual pivot follows in the first and last
+    # its column clears; the unit pivots finish each of these
     cases = [
-        [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
-        [[1, 1, 1, 0], [1, -1, 0, 1], [0, 1, -1, 1], [1, 0, 1, -1]],
-        [[1, -1, 1, 1, 0], [-1, 1, 0, 1, 1], [1, 1, -1, 0, 1], [0, 1, 1, -1, -1]],
+        [[1, 1, 0], [0, 1, 1], [1, 1, 1]],
+        [[1, 1, 1, 0], [0, 1, 1, -1], [-1, 1, 1, -1], [1, 1, 0, 1]],
+        [[0, -1, 0, 1, 1], [1, 1, 1, 1, -1], [-1, 1, -1, 0, 1], [0, 1, 1, 1, 1]],
     ]
     for M in cases:
         snf = reduce_dense(M)
         snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
-        assert snf.diagonal == dense_snf(M).diagonal, M
+        assert snf.diagonal == dense_snf(M).diagonal == (1,) * len(M), M
 
     # the same with a column cleared: the map above is e0 - e1, whose unit
     # pivot is row 0, and M, whose columns 0 and 1 agree, maps it to zero
     upper = smith_normal_form([{0: 1, 1: -1}], 4)
     assert upper.unit_rows == (0,)
-    dense = [[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]]
+    dense = [[1, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
     M = columns_of(dense)
     snf = smith_normal_form(M, 3, upper)
     snf.check(M, upper)
     assert_unimodular(snf.U_inv)
     assert_unimodular(snf.V)
-    assert snf.diagonal == dense_snf(dense).diagonal == (1, 1, 2)
+    assert snf.diagonal == dense_snf(dense).diagonal == (1, 1, 1)
     assert snf.V[snf.rank] == upper.U_inv[0]
+
+    # rows of several unit entries whose unit pivots leave a block with
+    # none, refused whatever its invariant factors: the last is unimodular
+    refused = [
+        ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], (1, 1, 2)),
+        ([[1, 1, 1, 0], [1, -1, 0, 1], [0, 1, -1, 1], [1, 0, 1, -1]], (1, 1, 1, 3)),
+        ([[1, -1, 1, 1, 0], [-1, 1, 0, 1, 1], [1, 1, -1, 0, 1], [0, 1, 1, -1, -1]], (1, 1, 1, 1)),
+    ]
+    for dense, diagonal in refused:
+        with pytest.raises(ArithmeticError, match=REFUSAL):
+            reduce_dense(dense)
+        assert dense_snf(dense).diagonal == diagonal
+    dense = [[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]]
+    with pytest.raises(ArithmeticError, match=REFUSAL):
+        smith_normal_form(columns_of(dense), 3, upper)
+    assert dense_snf(dense).diagonal == (1, 1, 2)
 
 
 def test_snf_against_minor_gcd_oracle():
     rng = random.Random(7)
+    reduced = 0
     for trial in range(30):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        snf = reduce_dense(M)
+        snf, ours = reduce_or_dense(M)
+        reduced += ours
         snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
@@ -165,6 +208,7 @@ def test_snf_against_minor_gcd_oracle():
             assert product == minors_gcd(M, k), (M, snf.diagonal)
         if snf.rank < min(m, n):
             assert minors_gcd(M, snf.rank + 1) == 0
+    assert reduced == 3  # the library's own reductions, the rest refused
 
 
 def test_snf_against_sympy():
@@ -172,26 +216,30 @@ def test_snf_against_sympy():
     from sympy.matrices.normalforms import invariant_factors
 
     rng = random.Random(11)
+    reduced = 0
     for trial in range(20):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        snf = reduce_dense(M)
+        snf, ours = reduce_or_dense(M)
+        reduced += ours
         snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
         expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(M)) if d != 0)
         assert snf.diagonal == expected, M
+    assert reduced == 1  # the library's own reductions, the rest refused
 
-    # entries with no +-1, so that every pivot comes from the residual phase
+    # entries with no +-1, and no zero matrix drawn, so the library refuses
+    # every one
     entries = (0, 0, 2, -4, 6, 9, -15, 10, 35, 12)
     rng = random.Random(13)
     for trial in range(20):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         M = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
-        snf = reduce_dense(M)
-        assert not snf.unit_rows, M
+        snf, ours = reduce_or_dense(M)
+        assert not ours, M
         snf.check(columns_of(M))
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
@@ -354,22 +402,34 @@ def rp2():
     return DeltaComplex(faces, labels, name="RP2")
 
 
+def dense_chain_data(X):
+    """Each boundary map of X with the dense routine's reduction of it
+    alone: the route to the homology of a complex with torsion, whose
+    chain_data the library refuses."""
+    data = []
+    for n in range(X.dim + 1):
+        M = boundary_matrix(X, n)
+        data.append((M, dense_snf(dense_of(M, boundary_rows(X, n)))))
+    return data
+
+
 def test_torsion_through_the_whole_chain():
     X = rp2()
     X.validate()
     assert X.f_vector() == (2, 3, 2)
-    profile = reduced_homology(X)
-    assert profile.groups == ((0, ()), (0, (2,)), (0, ()))
-    data = chain_data(X)
-    # d_2 leaves the non-unit block [[2]], which the residual phase
-    # finishes; the dense routine of tests/reference.py is the second route
+    # d_2's unit pivot leaves the block [[2]], which the library refuses;
+    # the dense routine of tests/reference.py is the route to the torsion
+    with pytest.raises(ArithmeticError, match=REFUSAL):
+        reduced_homology(X)
+    data = dense_chain_data(X)
+    assert homology.profile_of(data).groups == ((0, ()), (0, (2,)), (0, ()))
     assert [snf.diagonal for _, snf in data] == [(1,), (1,), (1, 2)]
-    assert len(data[2][1].unit_rows) == 1
     for n, (M, snf) in enumerate(data):
         snf.check(M)
         assert_unimodular(snf.U_inv)
         assert_unimodular(snf.V)
-        assert snf.diagonal == dense_snf(dense_of(M, boundary_rows(X, n))).diagonal
+        if n < 2:  # the maps below it reduce alone, by unit pivots
+            assert smith_normal_form(M, boundary_rows(X, n)).diagonal == snf.diagonal
 
 
 def test_rp2_grading_and_subdivision():
@@ -378,16 +438,18 @@ def test_rp2_grading_and_subdivision():
     S = barycentric_subdivide(rp2())
     S.validate()
     assert S.f_vector() == (7, 18, 12)
-    assert reduced_homology(S).groups == ((0, ()), (0, (2,)), (0, ()))
+    with pytest.raises(ArithmeticError, match=REFUSAL):
+        reduced_homology(S)
+    assert homology.profile_of(dense_chain_data(S)).groups == ((0, ()), (0, (2,)), (0, ()))
 
 
-def test_snf_of_a_mixed_matrix_folds_the_residual():
+def test_snf_of_a_mixed_matrix_refuses_the_residual():
     # a permuted unit block (rows 0, 1 at columns 3, 1) beside the non-unit
     # block [[2, 4, 4], [-6, 6, 12], [10, 4, 16]] (rows 2-4, columns 0, 2,
     # 4), coupled by r2 += 2 r0, r4 += 4 r1 and c4 += 2 c3: the unit pivots
-    # must clear the coupling, and the residual they leave has no unit
-    # entry, so the residual phase finishes it on the same sparse rows; the
-    # dense routine of tests/reference.py is the second route
+    # clear the coupling, and the residual they leave has no unit entry, so
+    # the library refuses M; the dense routine of tests/reference.py is the
+    # route to its certificate
     M = [
         [0, 0, 0, 1, 2, 0],
         [0, -1, 0, 0, 0, 0],
@@ -395,7 +457,9 @@ def test_snf_of_a_mixed_matrix_folds_the_residual():
         [-6, 0, 6, 0, 12, 0],
         [10, -4, 4, 0, 16, 0],
     ]
-    snf = reduce_dense(M)
+    with pytest.raises(ArithmeticError, match=REFUSAL):
+        reduce_dense(M)
+    snf = dense_snf(M)
     assert snf.diagonal == (1, 1, 2, 2, 156)
     snf.check(columns_of(M))
     assert_unimodular(snf.U_inv)
@@ -404,7 +468,6 @@ def test_snf_of_a_mixed_matrix_folds_the_residual():
     for k, d in enumerate(snf.diagonal, start=1):
         product *= d
         assert minors_gcd(M, k) == product
-    assert dense_snf(M).diagonal == snf.diagonal
 
 
 def test_snf_certificate_rejects_tampering():
@@ -444,12 +507,16 @@ def test_snf_certificate_rejects_tampering():
         tampered.check(M)
 
     # a last invariant factor that is not positive: a zero inflates the
-    # rank, and a negative one holds once its U_inv column is negated
+    # rank, and a negative one holds once its U_inv column is negated; the
+    # library refuses [[2, 0], [0, 2]], so its certificate is the dense
+    # routine's
     tampered = reduce_dense([[1, 0], [0, 0]])
     tampered.diagonal = (1, 0)
     with pytest.raises(ArithmeticError, match="positive"):
         tampered.check(columns_of([[1, 0], [0, 0]]))
-    tampered = reduce_dense([[2, 0], [0, 2]])
+    with pytest.raises(ArithmeticError, match=REFUSAL):
+        reduce_dense([[2, 0], [0, 2]])
+    tampered = dense_snf([[2, 0], [0, 2]])
     assert tampered.diagonal == (2, 2)
     tampered.diagonal = (2, -2)
     tampered.U_inv[1] = {i: -x for i, x in tampered.U_inv[1].items()}
@@ -457,7 +524,7 @@ def test_snf_certificate_rejects_tampering():
         tampered.check(columns_of([[2, 0], [0, 2]]))
 
     # positive factors that do not divide each other
-    tampered = reduce_dense([[2, 0], [0, 2]])
+    tampered = dense_snf([[2, 0], [0, 2]])
     tampered.diagonal = (2, 3)
     with pytest.raises(ArithmeticError, match="divisor chain"):
         tampered.check(columns_of([[2, 0], [0, 2]]))
@@ -529,9 +596,10 @@ def sparse_matrices(draw):
 def test_check_agrees_with_the_product_route(M, data):
     # the plain products of tests/reference.py are the second route, on the
     # reduction as it is and with one entry of U_inv or V changed, added or
-    # dropped
+    # dropped; where the library refuses M, the reduction is the dense
+    # routine's
     cols, m = columns_of(M), len(M)
-    snf = smith_normal_form(cols, m)
+    snf, _ = reduce_or_dense(M)
     snf.check(cols)
     assert certified_by_products(cols, snf)
 

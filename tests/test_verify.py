@@ -115,6 +115,17 @@ def test_a_law_that_raises_fails_with_its_message(monkeypatch):
     assert {row.checks[name] for name in others} == {"pass"}
 
 
+# the laws of aabb that read its chain data
+READS = {
+    "boundary_squares_to_zero",
+    "snf_certificates",
+    "torsion_free",
+    "homotopy_match",
+    "h1_law",
+    "matching_law",
+}
+
+
 def test_a_failing_reduction_fails_each_law_that_reads_it(monkeypatch):
     # the chain data is computed in the laws that read it, so an error
     # there fails those laws, noted once, and the sweep goes on
@@ -123,24 +134,28 @@ def test_a_failing_reduction_fails_each_law_that_reads_it(monkeypatch):
 
     monkeypatch.setattr(homology, "smith_normal_form", refuse)
     row = examine_word(parse_word("aabb"))
-    reads = {
-        "boundary_squares_to_zero",
-        "snf_certificates",
-        "torsion_free",
-        "homotopy_match",
-        "h1_law",
-        "matching_law",
-    }
-    assert {name for name, v in row.checks.items() if v == "fail"} == reads
+    assert {name for name, v in row.checks.items() if v == "fail"} == READS
     assert set(row.checks.values()) == {"pass", "fail"}
     assert row.notes == ("no unit entry is left",)
     assert row.homology == ()
-    failures = tuple((row.word, name) for name in verify.CHECK_NAMES if name in reads)
+    failures = tuple((row.word, name) for name in verify.CHECK_NAMES if name in READS)
     payload = json.loads(json.dumps(verify.SweepReport(4, 2, (row,), failures).to_json()))
     assert payload["rows"][0]["homology"] == []
     jsonschema = pytest.importorskip("jsonschema")
     path = resources.files("wordcomplex") / "schemas" / "sweep.schema.json"
     jsonschema.validate(payload, json.loads(path.read_text()))
+
+
+def test_a_refused_reduction_fails_each_law_that_reads_it(doubled_d2):
+    # the library's own refusal, where the doubled d_2 of aabb would give
+    # the torsion (Z/2)^2: the same laws fail as for the stand-in above,
+    # noted once
+    row = examine_word(parse_word("aabb"))
+    assert {name for name, v in row.checks.items() if v == "fail"} == READS
+    assert set(row.checks.values()) == {"pass", "fail"}
+    (note,) = row.notes
+    assert note.startswith("no unit entry is left")
+    assert row.homology == ()
 
 
 def test_a_failing_euler_check_notes_its_four_values(monkeypatch):
