@@ -85,6 +85,109 @@ def test_consecutive_boundaries_compose_to_zero():
             assert all(not any(row) for row in matmul(M, N)), word
 
 
+def test_boundary_maps_of_word_complexes_hold_only_signs():
+    # two deletions give the same subword only within one run of equal
+    # letters, whose positions are consecutive and carry alternating signs
+    # that add up to 0 or +-1: check_composition's sorted signed rows serve
+    # every word complex
+    for word in all_words(6):
+        X = build(word)
+        for n in range(X.dim + 1):
+            M = boundary_matrix(X, n)
+            assert all(x in (1, -1) for col in M for x in col.values()), word
+
+
+def composes(low, high):
+    """check_composition's verdict on the pair of maps low, high."""
+    try:
+        homology.check_composition([(low, None), (high, None)])
+    except ArithmeticError as exc:
+        assert str(exc) == "consecutive boundary maps do not compose to zero"
+        return False
+    return True
+
+
+def composes_by_products(low, high):
+    """The verdict of the certificates' sparse product, one per column."""
+    return all(homology._product_is(low, col, 0, {}) for col in high)
+
+
+def tampered(M, rows, kind, rng):
+    """A copy of the map M on rows rows with one entry changed: its sign
+    flipped, moved to another row, added, or set to +-2; None if no column
+    of M has room for that change."""
+    M = [dict(col) for col in M]
+    least = 0 if kind == "added" else 1  # entries the column must have
+    most = rows if kind in ("moved", "added") else rows + 1  # and fewer than
+    fit = [col for col in M if least <= len(col) < most]
+    if not fit:
+        return None
+    col = rng.choice(fit)
+    row = rng.choice([i for i in range(rows) if i not in col] or [None])
+    if kind == "added":
+        col[row] = rng.choice((1, -1))
+        return M
+    i = rng.choice(list(col))
+    if kind == "flipped":
+        col[i] = -col[i]
+    elif kind == "moved":
+        col[row] = col.pop(i)
+    else:
+        col[i] = rng.choice((2, -2))
+    return M
+
+
+def test_signed_rows_agree_with_the_products():
+    pairs = []  # (low, its row count, high)
+    for word in list(all_words(6)) + [w(t) for t in HARD_WORDS]:
+        X = build(word)
+        maps = [M for M, _ in chain_data(X)]
+        for n, (low, high) in enumerate(zip(maps, maps[1:])):
+            assert composes(low, high) and composes_by_products(low, high), word
+            if len(word) > 6:  # a hard word
+                pairs.append((low, boundary_rows(X, n), high))
+
+    # one entry of either map of a hard word's pair tampered; a +-2 lists
+    # its row twice
+    rng = random.Random(34)
+    trials = failed = 0
+    while trials < 400:
+        kind = ("flipped", "moved", "added", "set to 2")[trials % 4]
+        low, rows, high = rng.choice(pairs)
+        if rng.random() < 0.5:
+            high = tampered(high, len(low), kind, rng)
+        else:
+            low = tampered(low, rows, kind, rng)
+        if low is None or high is None:
+            continue  # no column of that map had room
+        trials += 1
+        verdict = composes_by_products(low, high)
+        assert composes(low, high) == verdict, (kind, trials)
+        failed += not verdict
+    assert 300 < failed < 400
+
+
+def test_signed_rows_count_entries_other_than_signs():
+    # vertices v and w, two loops a and b at v, and a triangle T with faces
+    # (a, b, a), so dT = b - 2a: no word complex holds such an entry, and
+    # its row is listed twice
+    v, w, a, b, T = range(5)
+    X = DeltaComplex({v: (), w: (), a: (v, v), b: (v, v), T: (a, b, a)}, dict(zip(range(5), "vwabT")))
+    X.validate()
+    data = chain_data(X)
+    assert [M for M, _ in data] == [[{0: 1}, {0: 1}], [{}, {}], [{0: -2, 1: 1}]]
+    homology.check_composition(data)
+    assert reduced_homology(X).groups == ((1, ()), (1, ()), (0, ()))
+
+    # da tampered to w - v: d_0 d_1 is still zero, d_1 d_2 is 2v - 2w on T
+    data[1][0][0] = {0: -1, 1: 1}
+    homology.check_composition(data[:2])
+    with pytest.raises(ArithmeticError, match="compose to zero"):
+        homology.check_composition(data[1:])
+    with pytest.raises(ArithmeticError, match="compose to zero"):
+        homology.check_composition(data)
+
+
 # -- Smith normal form -----------------------------------------------------------
 
 
